@@ -313,8 +313,8 @@ func writeAllocReport(t *testing.T) string {
 		Sites: []obs.AllocSite{
 			{Func: "wadc/internal/sim.(*Kernel).schedule", File: "internal/sim/kernel.go",
 				Line: 210, Subsystem: "sim", Allocs: 700, Bytes: 50_000},
-			{Func: "wadc/internal/monitor.(*Cache).freshest", File: "internal/monitor/monitor.go",
-				Line: 195, Subsystem: "monitor", Allocs: 300, Bytes: 30_000},
+			{Func: "wadc/internal/monitor.(*System).Cache", File: "internal/monitor/monitor.go",
+				Line: 396, Subsystem: "monitor", Allocs: 300, Bytes: 30_000},
 		},
 	}
 	path := filepath.Join(t.TempDir(), "allocs.json")
@@ -350,7 +350,7 @@ func TestAllocsSubcommand(t *testing.T) {
 		"budget verification:",
 		"[confirmed  ] wadc/internal/sim.(*Kernel).schedule: 1 site(s) observed",
 		"pooling candidates",
-		"wadc/internal/monitor.(*Cache).freshest",
+		"wadc/internal/monitor.(*System).Cache",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output lacks %q:\n%s", want, stdout)

@@ -10,7 +10,6 @@
 package monitor
 
 import (
-	"sort"
 	"time"
 
 	"wadc/internal/netmodel"
@@ -147,27 +146,131 @@ func keyOf(a, b netmodel.HostID) pairKey {
 	return pairKey{a, b}
 }
 
+// pairIndex numbers the canonical host pairs a <= b densely: (0,0), (0,1),
+// (1,1), (0,2), ... so the pairs among hosts 0..b fill (b+1)(b+2)/2 slots.
+func pairIndex(k pairKey) int { return int(k[1])*(int(k[1])+1)/2 + int(k[0]) }
+
+// pairSlot holds one pair's entry; set reports whether it has one.
+type pairSlot struct {
+	Entry
+	set bool
+}
+
 // Cache is one host's bandwidth measurement cache.
 type Cache struct {
-	host    netmodel.HostID
-	sys     *System
-	entries map[pairKey]Entry
+	host netmodel.HostID
+	sys  *System
+	// pairs is indexed by pairIndex and grows to the highest host seen;
+	// n counts the set slots.
+	pairs []pairSlot
+	n     int
+	// top is exactly the first cap(top) entries of the cache in newer
+	// order, cap(top) being the entries the piggyback budget carries.
+	// Record keeps it exact with one ordered insert, because an entry's At
+	// only grows.
+	top []Entry
+	// pub is the snapshot BeforeSend attaches; dirty means top has changed
+	// since pub was taken. spare is a retired snapshot no message reads any
+	// more, whose buffer backs the next one.
+	pub   *snapshot
+	dirty bool
+	spare *snapshot
+}
+
+// snapshot is a read-only copy of one cache's top entries, shared by every
+// message sent while it is current. readers counts the messages between
+// BeforeSend and AfterDeliver that carry it: a snapshot's entries are
+// rewritten only after readers drops to zero, so a receiver always merges
+// the measurements as they were at send time. A message lost to a crash or
+// a cut link never reaches AfterDeliver, so its snapshot stays held and is
+// left to the garbage collector.
+type snapshot struct {
+	entries []Entry
+	readers int
+	owner   *Cache
+}
+
+// newer reports whether x ranks ahead of y in piggyback order: newest
+// first, then by host pair. Distinct pairs never tie.
+func newer(x, y Entry) bool {
+	if x.At != y.At {
+		return x.At > y.At
+	}
+	if x.A != y.A {
+		return x.A < y.A
+	}
+	return x.B < y.B
+}
+
+// rank returns the first index of top whose entry does not rank ahead of e.
+func rank(top []Entry, e Entry) int {
+	lo, hi := 0, len(top)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if newer(top[m], e) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Record stores a measurement with its provenance, keeping the newer of the
 // existing and new entries for the pair.
+//
+//lint:hotpath
+//lint:allocbudget 1 the pair slots grow once per new highest host; the top list is preallocated
 func (c *Cache) Record(a, b netmodel.HostID, bw trace.Bandwidth, at sim.Time, prov Provenance) {
 	k := keyOf(a, b)
-	if cur, ok := c.entries[k]; ok && cur.At >= at {
+	i := pairIndex(k)
+	if i >= len(c.pairs) {
+		grown := make([]pairSlot, pairIndex(pairKey{k[1], k[1]})+1)
+		copy(grown, c.pairs)
+		c.pairs = grown
+	}
+	old, had := c.pairs[i].Entry, c.pairs[i].set
+	if had && old.At >= at {
 		return
 	}
-	c.entries[k] = Entry{A: k[0], B: k[1], BW: bw, At: at, Prov: prov}
+	e := Entry{A: k[0], B: k[1], BW: bw, At: at, Prov: prov}
+	c.pairs[i] = pairSlot{Entry: e, set: true}
+	if !had {
+		c.n++
+	}
+
+	// Keep top exact. e ranks ahead of old, so the pair can only move up:
+	// the entries in top[to:from] shift down one place to make room.
+	top := c.top
+	n := len(top)
+	var from int
+	switch {
+	case n < cap(top):
+		// Not full: every entry of the cache is in top.
+		if had {
+			from = rank(top, old)
+		} else {
+			top = top[:n+1]
+			from = n
+		}
+	case n == 0 || newer(top[n-1], e):
+		return // no budget, or e ranks behind the whole full list
+	case had && !newer(top[n-1], old):
+		from = rank(top, old)
+	default:
+		from = n - 1 // e pushes the last entry out
+	}
+	to := rank(top[:from], e)
+	copy(top[to+1:from+1], top[to:from])
+	top[to] = e
+	c.top = top
+	c.dirty = true
 }
 
 // Lookup returns the cached measurement for (a, b) if it is fresh (younger
 // than T_thres).
 func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
-	e, ok := c.entries[keyOf(a, b)]
+	e, ok := c.LookupAny(a, b)
 	if !ok {
 		return Entry{}, false
 	}
@@ -179,32 +282,43 @@ func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
 
 // LookupAny returns the cached measurement regardless of age.
 func (c *Cache) LookupAny(a, b netmodel.HostID) (Entry, bool) {
-	e, ok := c.entries[keyOf(a, b)]
-	return e, ok
+	if i := pairIndex(keyOf(a, b)); i < len(c.pairs) && c.pairs[i].set {
+		return c.pairs[i].Entry, true
+	}
+	return Entry{}, false
 }
 
 // Len returns the number of cached entries (including stale ones).
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.n }
 
-// freshest returns up to max entries, newest first.
-func (c *Cache) freshest(max int) []Entry {
-	all := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		all = append(all, e)
+// snapshot returns the current snapshot of top, taking a new one if top has
+// changed; nil when there is nothing to piggyback.
+func (c *Cache) snapshot() *snapshot {
+	if !c.dirty {
+		return c.pub
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At > all[j].At
-		}
-		if all[i].A != all[j].A {
-			return all[i].A < all[j].A
-		}
-		return all[i].B < all[j].B
-	})
-	if len(all) > max {
-		all = all[:max]
+	c.dirty = false
+	s := c.pub
+	switch {
+	case s != nil && s.readers == 0:
+		// No message carries the outdated snapshot: rewrite it in place.
+	case c.spare != nil:
+		s, c.spare = c.spare, nil
+	default:
+		s = &snapshot{entries: make([]Entry, 0, cap(c.top)), owner: c}
 	}
-	return all
+	s.entries = append(s.entries[:0], c.top...)
+	c.pub = s
+	return s
+}
+
+// release drops one reader; a retired snapshot nobody reads becomes its
+// owner's spare.
+func (s *snapshot) release() {
+	s.readers--
+	if s.readers == 0 && s != s.owner.pub {
+		s.owner.spare = s
+	}
 }
 
 // merge folds piggybacked entries into the cache, keeping newer timestamps.
@@ -230,12 +344,10 @@ type System struct {
 	cfg    Config
 	caches map[netmodel.HostID]*Cache
 
-	probes       int64
-	passiveMeas  int64
-	cacheHits    int64
-	cacheMisses  int64
-	piggybacked  int64
-	mergedErrors int64 // reserved; merge cannot currently fail
+	probes      int64
+	passiveMeas int64
+	cacheHits   int64
+	cacheMisses int64
 
 	// ProbeNetwork state.
 	demons   bool
@@ -279,7 +391,10 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) Cache(h netmodel.HostID) *Cache {
 	c, ok := s.caches[h]
 	if !ok {
-		c = &Cache{host: h, sys: s, entries: make(map[pairKey]Entry)}
+		c = &Cache{host: h, sys: s}
+		if k := s.cfg.PiggybackBudget / s.cfg.EntrySize; k > 0 {
+			c.top = make([]Entry, 0, k)
+		}
 		s.caches[h] = c
 	}
 	return c
@@ -300,20 +415,27 @@ func (s *System) CacheHitRate() float64 {
 	return float64(s.cacheHits) / float64(total)
 }
 
-// BeforeSend implements netmodel.Observer: attach the sender's freshest
-// measurements, as many as fit in the piggyback budget.
+// BeforeSend implements netmodel.Observer: attach the sender's newest
+// measurements, as many as fit in the piggyback budget, as a shared
+// read-only snapshot.
+//
+//lint:hotpath
+//lint:allocbudget 2 the sender's cache on its first use, and a new snapshot buffer when top changed while every earlier one is still read in flight
 func (s *System) BeforeSend(msg *netmodel.Message) {
-	maxEntries := s.cfg.PiggybackBudget / s.cfg.EntrySize
-	entries := s.Cache(msg.Src).freshest(maxEntries)
-	if len(entries) > 0 {
-		msg.Piggyback = entries
-		s.piggybacked += int64(len(entries))
+	snap := s.Cache(msg.Src).snapshot()
+	if snap == nil {
+		return
 	}
+	snap.readers++
+	msg.Piggyback = snap
 }
 
 // AfterDeliver implements netmodel.Observer: record a passive measurement at
 // both endpoints if the message was large enough, and merge any piggybacked
-// entries into the receiver's cache.
+// entries into the receiver's cache. The message gives up its snapshot.
+//
+//lint:hotpath
+//lint:allocbudget 3 the three inlined Cache lookups each create a host's cache on its first use; steady state allocates nothing
 func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration) {
 	if msg.Src != msg.Dst && msg.Size >= s.cfg.SThres {
 		bw := s.net.MeasuredBandwidth(msg.Size, linkDuration)
@@ -331,8 +453,10 @@ func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration)
 			}
 		}
 	}
-	if entries, ok := msg.Piggyback.([]Entry); ok {
-		s.Cache(msg.Dst).merge(entries)
+	if snap, ok := msg.Piggyback.(*snapshot); ok {
+		s.Cache(msg.Dst).merge(snap.entries)
+		msg.Piggyback = nil
+		snap.release()
 	}
 }
 

@@ -40,6 +40,17 @@ func newRig(t *testing.T, cfg Config, bws ...trace.Bandwidth) *rig {
 	return r
 }
 
+// piggyback returns the entries BeforeSend attaches to a message from src.
+func piggyback(sys *System, src netmodel.HostID) []Entry {
+	msg := &netmodel.Message{Src: src, Dst: src}
+	sys.BeforeSend(msg)
+	snap, _ := msg.Piggyback.(*snapshot)
+	if snap == nil {
+		return nil
+	}
+	return snap.entries
+}
+
 func (r *rig) send(src, dst netmodel.HostID, size int64) {
 	r.k.Spawn("send", func(p *sim.Proc) {
 		r.net.Send(p, &netmodel.Message{Src: src, Dst: dst, Port: "d", Size: size, Prio: sim.PriorityData})
@@ -152,9 +163,9 @@ func TestPiggybackBudget(t *testing.T) {
 	c.Record(0, 1, 1, 1*sim.Second, ProvFreshCache)
 	c.Record(0, 2, 2, 2*sim.Second, ProvFreshCache)
 	c.Record(1, 2, 3, 3*sim.Second, ProvFreshCache)
-	entries := c.freshest(cfg.PiggybackBudget / cfg.EntrySize)
+	entries := piggyback(r.sys, 0)
 	if len(entries) != 2 {
-		t.Fatalf("freshest returned %d entries", len(entries))
+		t.Fatalf("piggybacked %d entries", len(entries))
 	}
 	// Newest first: (1,2)@3s then (0,2)@2s.
 	if entries[0].At != 3*sim.Second || entries[1].At != 2*sim.Second {
@@ -372,14 +383,14 @@ func TestProvenanceStrings(t *testing.T) {
 	}
 }
 
-func TestFreshestDeterministicOrder(t *testing.T) {
+func TestPiggybackDeterministicOrder(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	c := r.sys.Cache(0)
 	// Same timestamp: ordered by pair for determinism.
 	c.Record(0, 2, 1, sim.Second, ProvFreshCache)
 	c.Record(0, 1, 2, sim.Second, ProvFreshCache)
 	c.Record(1, 2, 3, sim.Second, ProvFreshCache)
-	es := c.freshest(10)
+	es := piggyback(r.sys, 0)
 	if es[0].A != 0 || es[0].B != 1 || es[1].B != 2 || es[2].A != 1 {
 		t.Errorf("order not canonical: %+v", es)
 	}

@@ -76,7 +76,8 @@ type Evaluation struct {
 	// CriticalPath is the longest server→client path length in seconds.
 	CriticalPath float64
 	// Bottleneck is the busiest single resource's per-iteration load, and
-	// BottleneckHost the host it lives on.
+	// BottleneckHost the host it lives on. When several hosts carry the
+	// same busiest load, BottleneckHost is the lowest host id among them.
 	Bottleneck     float64
 	BottleneckHost netmodel.HostID
 	// Path lists the critical path's nodes from the client down to a server.
@@ -85,57 +86,86 @@ type Evaluation struct {
 	NodeCost []float64
 }
 
+// maxStackHosts is the most hosts whose per-host loads Evaluate keeps in a
+// fixed array on its stack; placements over more hosts use the heap.
+const maxStackHosts = 64
+
+// evaluation is Evaluate's working state: per-node path costs and per-host
+// NIC and CPU loads, indexed by host id.
+type evaluation struct {
+	m        CostModel
+	p        *Placement
+	bw       BandwidthFn
+	costs    []float64
+	nic, cpu []float64
+}
+
+// visit returns the longest path cost from node id's subtree to id,
+// accumulating every host's loads on the way.
+func (e *evaluation) visit(id NodeID) float64 {
+	p, m := e.p, e.m
+	n := p.tree.Node(id)
+	best := 0.0
+	for _, c := range n.Children {
+		ec := m.EdgeCost(p.loc[c], p.loc[id], e.bw)
+		if ec > 0 {
+			// One NIC per host: each remote transfer occupies both
+			// endpoints' NICs for its duration.
+			e.nic[p.loc[c]] += ec
+			e.nic[p.loc[id]] += ec
+		}
+		cc := e.visit(c) + ec
+		if cc > best {
+			best = cc
+		}
+	}
+	switch n.Kind {
+	case Operator:
+		e.cpu[p.loc[id]] += m.ComputeDur.Seconds()
+	case Server:
+		e.cpu[p.loc[id]] += m.DiskDur.Seconds()
+	}
+	e.costs[id] = best + m.nodeCost(n)
+	return e.costs[id]
+}
+
 // Evaluate scores a placement under the cost model. The evaluation is
 // branch-and-bound friendly: bandwidth is queried only for edges whose
 // endpoints differ, so a caller counting queries sees only the links the
 // algorithm actually needed.
+//
+//lint:hotpath
+//lint:allocbudget 3 the returned NodeCost and Path slices, plus the load slice of a placement over more than 64 hosts
 func (m CostModel) Evaluate(p *Placement, bw BandwidthFn) Evaluation {
 	t := p.tree
-	costs := make([]float64, t.NumNodes())
-	nicLoad := make(map[netmodel.HostID]float64)
-	cpuLoad := make(map[netmodel.HostID]float64)
-	var visit func(id NodeID) float64
-	visit = func(id NodeID) float64 {
-		n := t.Node(id)
-		best := 0.0
-		for _, c := range n.Children {
-			ec := m.EdgeCost(p.loc[c], p.loc[id], bw)
-			if ec > 0 {
-				// One NIC per host: each remote transfer occupies both
-				// endpoints' NICs for its duration.
-				nicLoad[p.loc[c]] += ec
-				nicLoad[p.loc[id]] += ec
-			}
-			cc := visit(c) + ec
-			if cc > best {
-				best = cc
-			}
+	hosts := 0
+	for _, h := range p.loc {
+		if int(h) >= hosts {
+			hosts = int(h) + 1
 		}
-		switch n.Kind {
-		case Operator:
-			cpuLoad[p.loc[id]] += m.ComputeDur.Seconds()
-		case Server:
-			cpuLoad[p.loc[id]] += m.DiskDur.Seconds()
-		}
-		costs[id] = best + m.nodeCost(n)
-		return costs[id]
 	}
-	critical := visit(t.client)
+	var stack [2 * maxStackHosts]float64
+	loads := stack[:]
+	if hosts > maxStackHosts {
+		loads = make([]float64, 2*hosts)
+	}
+	// Return costs from its own variable, not as e.costs: escape analysis
+	// does not tell e's fields apart, so returning e.costs would move the
+	// stack array to the heap.
+	costs := make([]float64, t.NumNodes())
+	e := evaluation{
+		m: m, p: p, bw: bw, costs: costs,
+		nic: loads[:hosts],
+		cpu: loads[hosts : 2*hosts],
+	}
+	critical := e.visit(t.client)
 	var bottleneck float64
 	var bottleneckHost netmodel.HostID
-	for h, l := range nicLoad {
-		if c := cpuLoad[h]; c > l {
-			l = c
-		}
+	for h := range hosts {
+		l := max(e.nic[h], e.cpu[h])
 		if l > bottleneck {
 			bottleneck = l
-			bottleneckHost = h
-		}
-	}
-	for h, l := range cpuLoad {
-		if l > bottleneck {
-			bottleneck = l
-			bottleneckHost = h
+			bottleneckHost = netmodel.HostID(h)
 		}
 	}
 	total := critical

@@ -35,6 +35,34 @@ func TestEdgeCost(t *testing.T) {
 	}
 }
 
+// TestBottleneckTiePicksLowestHost: two servers carry the same disk load,
+// the busiest in the placement; BottleneckHost must name the lower host id
+// whatever order the tree visits them in.
+func TestBottleneckTiePicksLowestHost(t *testing.T) {
+	m := CostModel{DataBytes: 1000, DiskDur: 10 * time.Second}
+	tr := CompleteBinary(2)
+	p := NewPlacement(tr, []netmodel.HostID{4, 1}, 2)
+	for i := 0; i < 20; i++ {
+		ev := m.Evaluate(p, uniformBW(1000))
+		if ev.Bottleneck != 10 || ev.BottleneckHost != 1 {
+			t.Fatalf("bottleneck = %v at h%d, want 10 at h1", ev.Bottleneck, ev.BottleneckHost)
+		}
+	}
+}
+
+// TestEvaluateBeyondStackHosts: host ids past the stack-held loads score
+// exactly as the same placement relabelled onto small ids.
+func TestEvaluateBeyondStackHosts(t *testing.T) {
+	m := CostModel{Startup: 50 * time.Millisecond, DataBytes: 1000, DiskDur: time.Second, ComputeDur: time.Second}
+	tr := CompleteBinary(4)
+	small := m.Evaluate(NewPlacement(tr, []netmodel.HostID{0, 1, 2, 3}, 4), uniformBW(700))
+	large := m.Evaluate(NewPlacement(tr, []netmodel.HostID{100, 101, 102, 103}, 104), uniformBW(700))
+	if small.Cost != large.Cost || small.CriticalPath != large.CriticalPath ||
+		small.Bottleneck != large.Bottleneck || large.BottleneckHost != small.BottleneckHost+100 {
+		t.Errorf("hosts 100-104 score %+v, hosts 0-4 score %+v", large, small)
+	}
+}
+
 func TestEvaluateDownloadAll(t *testing.T) {
 	// 2 servers, all ops at client: path = server -> client edge, then a
 	// co-located op, then a free op->client edge.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Run the hot-path benchmarks (sim scheduler, netmodel transfers, dataflow
-# engine, plus the per-figure and ablation benchmarks at the repo root) and
-# record the results as BENCH_<date>.json, so performance has a trajectory
-# instead of anecdotes.
+# Run the hot-path benchmarks (sim scheduler, netmodel transfers, monitor
+# piggybacking, cost-model scoring, dataflow engine, plus the per-figure and
+# ablation benchmarks at the repo root) and record the results as
+# BENCH_<date>.json, so performance has a trajectory instead of anecdotes.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCH_TIME=2s      per-benchmark time (default 1s)
@@ -18,6 +18,8 @@ count="${BENCH_COUNT:-1}"
 pkgs=(
   ./internal/sim/
   ./internal/netmodel/
+  ./internal/monitor/
+  ./internal/plan/
   ./internal/dataflow/
   .
 )
