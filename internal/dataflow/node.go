@@ -393,7 +393,7 @@ func (n *node) produce(p *sim.Proc, it int) {
 // wait included.
 //
 //lint:hotpath
-//lint:allocbudget 1 one heldData node per image read; BENCH dataflow=1400 allocs/op are dominated by kernel events and per-block envelopes
+//lint:allocbudget 1 one heldData node per image read; BENCH dataflow=1405 allocs/op are dominated by kernel events and per-block envelopes
 func (n *node) readImage(p *sim.Proc, it int, bytes int64) {
 	e := n.e
 	start := e.k.Now()

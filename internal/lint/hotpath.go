@@ -10,12 +10,14 @@ import (
 // HotPathRequired names the functions the hot-path benchmarks cover
 // (BenchmarkSimProcessSwitch*, BenchmarkNetTransfer*,
 // BenchmarkDataflowPipeline*, BenchmarkMonitorPiggyback*,
-// BenchmarkCostModelEvaluate*): the scheduler core, the mailbox primitives,
-// the transfer/data-plane sends, the monitor's piggyback path and the
-// placement cost model. Each must carry a //lint:hotpath
-// annotation so the allocation checks below watch it; renaming or moving one
-// fails the lint until this list is updated, which is the point — the
-// benchmark surface is part of the contract.
+// BenchmarkMonitorMerge*, BenchmarkMonitorRecord*,
+// BenchmarkCostModelEvaluate*, BenchmarkOneShotOptimize*): the scheduler
+// core, the mailbox primitives, the transfer/data-plane sends, the monitor's
+// piggyback and merge path, and the placement cost model and its scorer.
+// Each must carry a //lint:hotpath annotation so the allocation checks below
+// watch it; renaming or moving one fails the lint until this list is
+// updated, which is the point — the benchmark surface is part of the
+// contract.
 var HotPathRequired = map[string][]string{
 	"wadc/internal/sim": {
 		"(*Kernel).schedule",
@@ -37,9 +39,11 @@ var HotPathRequired = map[string][]string{
 		"(*System).BeforeSend",
 		"(*System).AfterDeliver",
 		"(*Cache).Record",
+		"(*Cache).merge",
 	},
 	"wadc/internal/plan": {
 		"CostModel.Evaluate",
+		"(*Scorer).Score",
 	},
 }
 

@@ -17,17 +17,7 @@ import (
 func BenchmarkMonitorPiggyback(b *testing.B) {
 	for _, hosts := range []int{9, 33} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
-			sys := bareSystem(hosts, DefaultPiggybackBudget/DefaultEntrySize)
-			at := sim.Time(0)
-			for v := 0; v < hosts; v++ {
-				c := sys.Cache(netmodel.HostID(v))
-				for a := 0; a < hosts; a++ {
-					for c2 := a + 1; c2 < hosts; c2++ {
-						at++
-						c.Record(netmodel.HostID(a), netmodel.HostID(c2), trace.Bandwidth(1000+a*c2), at, ProvFreshCache)
-					}
-				}
-			}
+			sys, at := filledSystem(hosts)
 			msgs := make([]netmodel.Message, hosts)
 			for h := range msgs {
 				msgs[h] = netmodel.Message{Src: netmodel.HostID(h), Dst: netmodel.HostID((h + 1) % hosts)}
@@ -42,5 +32,94 @@ func BenchmarkMonitorPiggyback(b *testing.B) {
 				sys.AfterDeliver(msg, 0)
 			}
 		})
+	}
+}
+
+// filledSystem is a bare system over n hosts whose every cache holds every
+// host pair, each measured at its own time; it returns the last time used.
+func filledSystem(hosts int) (*System, sim.Time) {
+	sys := bareSystem(hosts, DefaultPiggybackBudget/DefaultEntrySize)
+	at := sim.Time(0)
+	for v := 0; v < hosts; v++ {
+		c := sys.Cache(netmodel.HostID(v))
+		for a := 0; a < hosts; a++ {
+			for c2 := a + 1; c2 < hosts; c2++ {
+				at++
+				c.Record(netmodel.HostID(a), netmodel.HostID(c2), trace.Bandwidth(1000+a*c2), at, ProvFreshCache)
+			}
+		}
+	}
+	return sys, at
+}
+
+// benchPair returns the i-th of a sequence of distinct-host pairs that
+// cycles through every pair of n hosts.
+func benchPair(i, n int) (netmodel.HostID, netmodel.HostID) {
+	return netmodel.HostID(i % n), netmodel.HostID((i + 1 + i/n%(n-1)) % n)
+}
+
+// BenchmarkMonitorMerge measures one BeforeSend + AfterDeliver pair between
+// a fixed sender and receiver. The receiver merged the sender's previous
+// snapshot, and the sender recorded one newer measurement since, so all but
+// one of the 64 piggybacked entries are already known to the receiver.
+func BenchmarkMonitorMerge(b *testing.B) {
+	for _, hosts := range []int{9, 33} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			sys, at := filledSystem(hosts)
+			msg := &netmodel.Message{Src: 0, Dst: 1}
+			sys.BeforeSend(msg)
+			sys.AfterDeliver(msg, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at++
+				sys.Cache(0).Record(0, netmodel.HostID(2+i%(hosts-2)), trace.Bandwidth(i), at, ProvFreshCache)
+				sys.BeforeSend(msg)
+				sys.AfterDeliver(msg, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkMonitorRecord measures Record on a full cache of 33 hosts: a
+// newer measurement of a pair moves it to the front of the top list, and a
+// measurement no newer than the cached one is rejected.
+func BenchmarkMonitorRecord(b *testing.B) {
+	const hosts = 33
+	b.Run("newer", func(b *testing.B) {
+		sys, at := filledSystem(hosts)
+		c := sys.Cache(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at++
+			x, y := benchPair(i, hosts)
+			c.Record(x, y, trace.Bandwidth(i), at, ProvFreshCache)
+		}
+	})
+	b.Run("stale", func(b *testing.B) {
+		sys, _ := filledSystem(hosts)
+		c := sys.Cache(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x, y := benchPair(i, hosts)
+			c.Record(x, y, trace.Bandwidth(i), 0, ProvFreshCache)
+		}
+	})
+}
+
+var benchEntry Entry
+
+// BenchmarkMonitorLookup measures a fresh-entry Lookup on a full cache of 33
+// hosts.
+func BenchmarkMonitorLookup(b *testing.B) {
+	const hosts = 33
+	sys, _ := filledSystem(hosts)
+	c := sys.Cache(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchEntry, _ = c.Lookup(benchPair(i, hosts))
 	}
 }

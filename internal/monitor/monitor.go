@@ -150,10 +150,18 @@ func keyOf(a, b netmodel.HostID) pairKey {
 // (1,1), (0,2), ... so the pairs among hosts 0..b fill (b+1)(b+2)/2 slots.
 func pairIndex(k pairKey) int { return int(k[1])*(int(k[1])+1)/2 + int(k[0]) }
 
-// pairSlot holds one pair's entry; set reports whether it has one.
+// pairSlot holds one pair's entry without its hosts, which the slot's index
+// already names; set reports whether it has one.
 type pairSlot struct {
-	Entry
-	set bool
+	BW   trace.Bandwidth
+	At   sim.Time
+	Prov Provenance
+	set  bool
+}
+
+// entry rebuilds the slot's Entry for the pair k.
+func (s pairSlot) entry(k pairKey) Entry {
+	return Entry{A: k[0], B: k[1], BW: s.BW, At: s.At, Prov: s.Prov}
 }
 
 // Cache is one host's bandwidth measurement cache.
@@ -167,8 +175,12 @@ type Cache struct {
 	// top is exactly the first cap(top) entries of the cache in newer
 	// order, cap(top) being the entries the piggyback budget carries.
 	// Record keeps it exact with one ordered insert, because an entry's At
-	// only grows.
-	top []Entry
+	// only grows. seq counts those inserts.
+	top []stamped
+	seq uint64
+	// merged[h] is the seq of the newest snapshot of host h's cache merged
+	// here, 0 if none.
+	merged []uint64
 	// pub is the snapshot BeforeSend attaches; dirty means top has changed
 	// since pub was taken. spare is a retired snapshot no message reads any
 	// more, whose buffer backs the next one.
@@ -177,15 +189,25 @@ type Cache struct {
 	spare *snapshot
 }
 
-// snapshot is a read-only copy of one cache's top entries, shared by every
-// message sent while it is current. readers counts the messages between
+// stamped is a top-list entry with the value its cache's seq took when the
+// entry was inserted; the stamp moves with the entry when later inserts
+// shift the list.
+type stamped struct {
+	Entry
+	stamp uint64
+}
+
+// snapshot is a read-only copy of one cache's top entries, taken when the
+// owner's seq was seq, and shared by every message sent while it is
+// current. readers counts the messages between
 // BeforeSend and AfterDeliver that carry it: a snapshot's entries are
 // rewritten only after readers drops to zero, so a receiver always merges
 // the measurements as they were at send time. A message lost to a crash or
 // a cut link never reaches AfterDeliver, so its snapshot stays held and is
 // left to the garbage collector.
 type snapshot struct {
-	entries []Entry
+	entries []stamped
+	seq     uint64
 	readers int
 	owner   *Cache
 }
@@ -203,11 +225,11 @@ func newer(x, y Entry) bool {
 }
 
 // rank returns the first index of top whose entry does not rank ahead of e.
-func rank(top []Entry, e Entry) int {
+func rank(top []stamped, e Entry) int {
 	lo, hi := 0, len(top)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if newer(top[m], e) {
+		if newer(top[m].Entry, e) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -229,15 +251,16 @@ func (c *Cache) Record(a, b netmodel.HostID, bw trace.Bandwidth, at sim.Time, pr
 		copy(grown, c.pairs)
 		c.pairs = grown
 	}
-	old, had := c.pairs[i].Entry, c.pairs[i].set
-	if had && old.At >= at {
+	slot := c.pairs[i]
+	had := slot.set
+	if had && slot.At >= at {
 		return
 	}
-	e := Entry{A: k[0], B: k[1], BW: bw, At: at, Prov: prov}
-	c.pairs[i] = pairSlot{Entry: e, set: true}
+	c.pairs[i] = pairSlot{BW: bw, At: at, Prov: prov, set: true}
 	if !had {
 		c.n++
 	}
+	old, e := slot.entry(k), Entry{A: k[0], B: k[1], BW: bw, At: at, Prov: prov}
 
 	// Keep top exact. e ranks ahead of old, so the pair can only move up:
 	// the entries in top[to:from] shift down one place to make room.
@@ -253,16 +276,17 @@ func (c *Cache) Record(a, b netmodel.HostID, bw trace.Bandwidth, at sim.Time, pr
 			top = top[:n+1]
 			from = n
 		}
-	case n == 0 || newer(top[n-1], e):
+	case n == 0 || newer(top[n-1].Entry, e):
 		return // no budget, or e ranks behind the whole full list
-	case had && !newer(top[n-1], old):
+	case had && !newer(top[n-1].Entry, old):
 		from = rank(top, old)
 	default:
 		from = n - 1 // e pushes the last entry out
 	}
 	to := rank(top[:from], e)
 	copy(top[to+1:from+1], top[to:from])
-	top[to] = e
+	c.seq++
+	top[to] = stamped{e, c.seq}
 	c.top = top
 	c.dirty = true
 }
@@ -282,8 +306,9 @@ func (c *Cache) Lookup(a, b netmodel.HostID) (Entry, bool) {
 
 // LookupAny returns the cached measurement regardless of age.
 func (c *Cache) LookupAny(a, b netmodel.HostID) (Entry, bool) {
-	if i := pairIndex(keyOf(a, b)); i < len(c.pairs) && c.pairs[i].set {
-		return c.pairs[i].Entry, true
+	k := keyOf(a, b)
+	if i := pairIndex(k); i < len(c.pairs) && c.pairs[i].set {
+		return c.pairs[i].entry(k), true
 	}
 	return Entry{}, false
 }
@@ -305,9 +330,10 @@ func (c *Cache) snapshot() *snapshot {
 	case c.spare != nil:
 		s, c.spare = c.spare, nil
 	default:
-		s = &snapshot{entries: make([]Entry, 0, cap(c.top)), owner: c}
+		s = &snapshot{entries: make([]stamped, 0, cap(c.top)), owner: c}
 	}
 	s.entries = append(s.entries[:0], c.top...)
+	s.seq = c.seq
 	c.pub = s
 	return s
 }
@@ -321,13 +347,37 @@ func (s *snapshot) release() {
 	}
 }
 
-// merge folds piggybacked entries into the cache, keeping newer timestamps.
-// Entries arriving here were learned over the wire, not measured locally, so
-// they are re-marked ProvPiggyback — except probe-timeout bounds, whose
-// ProvStaleFallback marking must survive any number of piggyback hops (a
-// relayed pessimistic bound is still a bound, not a measurement).
-func (c *Cache) merge(entries []Entry) {
-	for _, e := range entries {
+// merge folds a piggybacked snapshot into the cache, keeping newer
+// timestamps. Entries arriving here were learned over the wire, not measured
+// locally, so they are re-marked ProvPiggyback — except probe-timeout bounds,
+// whose ProvStaleFallback marking must survive any number of piggyback hops
+// (a relayed pessimistic bound is still a bound, not a measurement).
+//
+// An entry whose stamp is at most the seq of a snapshot of the same sender
+// merged earlier is skipped: it has stayed in the sender's top list since
+// its insert, so it was in that snapshot, and Record would keep the entry
+// that snapshot left here. A snapshot older than the merged one, overtaken
+// in flight, is merged in full and leaves the bound alone.
+//
+//lint:hotpath
+//lint:allocbudget 1 the per-sender bounds, sized to the network on the first merge and grown for a host added later
+func (c *Cache) merge(s *snapshot) {
+	src := int(s.owner.host)
+	if src >= len(c.merged) {
+		grown := make([]uint64, max(src+1, c.sys.net.NumHosts()))
+		copy(grown, c.merged)
+		c.merged = grown
+	}
+	bound := c.merged[src]
+	if s.seq >= bound {
+		c.merged[src] = s.seq
+	} else {
+		bound = 0
+	}
+	for _, e := range s.entries {
+		if e.stamp <= bound {
+			continue
+		}
 		prov := ProvPiggyback
 		if e.Prov == ProvStaleFallback {
 			prov = ProvStaleFallback
@@ -393,7 +443,7 @@ func (s *System) Cache(h netmodel.HostID) *Cache {
 	if !ok {
 		c = &Cache{host: h, sys: s}
 		if k := s.cfg.PiggybackBudget / s.cfg.EntrySize; k > 0 {
-			c.top = make([]Entry, 0, k)
+			c.top = make([]stamped, 0, k)
 		}
 		s.caches[h] = c
 	}
@@ -454,7 +504,7 @@ func (s *System) AfterDeliver(msg *netmodel.Message, linkDuration time.Duration)
 		}
 	}
 	if snap, ok := msg.Piggyback.(*snapshot); ok {
-		s.Cache(msg.Dst).merge(snap.entries)
+		s.Cache(msg.Dst).merge(snap)
 		msg.Piggyback = nil
 		snap.release()
 	}

@@ -48,7 +48,16 @@ func piggyback(sys *System, src netmodel.HostID) []Entry {
 	if snap == nil {
 		return nil
 	}
-	return snap.entries
+	return entriesOf(snap)
+}
+
+// entriesOf returns a snapshot's entries without their stamps.
+func entriesOf(s *snapshot) []Entry {
+	out := make([]Entry, len(s.entries))
+	for i, e := range s.entries {
+		out[i] = e.Entry
+	}
+	return out
 }
 
 func (r *rig) send(src, dst netmodel.HostID, size int64) {

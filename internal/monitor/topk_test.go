@@ -63,7 +63,10 @@ func (r refCache) top(k int) []Entry {
 // sequences, with many At ties and stale-fallback entries, and checks every
 // published snapshot against a full sort of the sender's cache truncated to
 // the budget, and every delivered snapshot against what it held at send
-// time.
+// time. Messages are delivered in random order, so one sender's snapshots
+// overtake each other. A second system, whose caches merge by calling
+// Record for every delivered entry, must end in the same state as the
+// system under test, which skips entries the receiver already merged.
 func TestTopKMatchesFullSort(t *testing.T) {
 	provs := []Provenance{ProvFreshCache, ProvPiggyback, ProvStaleFallback}
 	for _, hosts := range []int{9, 33} {
@@ -71,6 +74,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 			t.Run(fmt.Sprintf("hosts=%d/entries=%d", hosts, budget), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(hosts*100 + budget)))
 				sys := bareSystem(hosts, budget)
+				full := bareSystem(hosts, budget)
 				ref := make([]refCache, hosts)
 				for h := range ref {
 					ref[h] = refCache{}
@@ -81,7 +85,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 					want []Entry
 				}
 				var flying []inFlight
-				sends := 0
+				sends, skipped := 0, 0
 				for step := 0; step < 4000; step++ {
 					switch op := rng.Intn(10); {
 					case op < 6:
@@ -97,6 +101,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 							Prov: provs[rng.Intn(len(provs))],
 						}
 						sys.Cache(netmodel.HostID(h)).Record(e.A, e.B, e.BW, e.At, e.Prov)
+						full.Cache(netmodel.HostID(h)).Record(e.A, e.B, e.BW, e.At, e.Prov)
 						k := keyOf(e.A, e.B)
 						e.A, e.B = k[0], k[1]
 						ref[h].record(e)
@@ -108,7 +113,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 						snap, _ := msg.Piggyback.(*snapshot)
 						var got []Entry
 						if snap != nil {
-							got = snap.entries
+							got = entriesOf(snap)
 						}
 						if len(want) == 0 && snap != nil {
 							t.Fatalf("step %d: empty budget or cache piggybacked %d entries", step, len(got))
@@ -122,11 +127,19 @@ func TestTopKMatchesFullSort(t *testing.T) {
 						i := rng.Intn(len(flying))
 						f := flying[i]
 						flying = slices.Delete(flying, i, i+1)
-						if f.snap != nil && !reflect.DeepEqual(f.snap.entries, f.want) {
-							t.Fatalf("step %d: snapshot changed in flight\n got %+v\nwant %+v", step, f.snap.entries, f.want)
+						if f.snap != nil && !reflect.DeepEqual(entriesOf(f.snap), f.want) {
+							t.Fatalf("step %d: snapshot changed in flight\n got %+v\nwant %+v", step, entriesOf(f.snap), f.want)
 						}
 						if op == 8 {
 							continue // lost: a crash or a cut link never delivers it
+						}
+						dst := sys.Cache(f.msg.Dst)
+						if src := int(f.msg.Src); f.snap != nil && src < len(dst.merged) && f.snap.seq >= dst.merged[src] {
+							for _, e := range f.snap.entries {
+								if e.stamp <= dst.merged[src] {
+									skipped++
+								}
+							}
 						}
 						sys.AfterDeliver(f.msg, 0)
 						for _, e := range f.want {
@@ -134,14 +147,21 @@ func TestTopKMatchesFullSort(t *testing.T) {
 								e.Prov = ProvPiggyback
 							}
 							ref[f.msg.Dst].record(e)
+							full.Cache(f.msg.Dst).Record(e.A, e.B, e.BW, e.At, e.Prov)
 						}
 					}
 				}
 				if sends == 0 {
 					t.Fatal("no sends exercised")
 				}
+				if budget > 0 && skipped == 0 {
+					t.Fatal("no merged entry was skipped")
+				}
 				for h := range ref {
 					c := sys.Cache(netmodel.HostID(h))
+					if fc := full.Cache(netmodel.HostID(h)); !slices.Equal(c.top, fc.top) || c.seq != fc.seq {
+						t.Fatalf("host %d top list after skipping merges\n got %+v (seq %d)\nwant %+v (seq %d)", h, c.top, c.seq, fc.top, fc.seq)
+					}
 					if c.Len() != len(ref[h]) {
 						t.Fatalf("host %d caches %d pairs, reference %d", h, c.Len(), len(ref[h]))
 					}
@@ -183,7 +203,7 @@ func TestSnapshotNotRewrittenInFlight(t *testing.T) {
 		sys.AfterDeliver(m, 0)
 	}
 	for _, m := range []*netmodel.Message{held, lost} {
-		if got := m.Piggyback.(*snapshot).entries; !reflect.DeepEqual(got, atSend) {
+		if got := entriesOf(m.Piggyback.(*snapshot)); !reflect.DeepEqual(got, atSend) {
 			t.Fatalf("in-flight snapshot rewritten:\n got %+v\nwant %+v", got, atSend)
 		}
 	}

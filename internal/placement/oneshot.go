@@ -39,38 +39,45 @@ func OneShotOptimize(initial *plan.Placement, hosts []netmodel.HostID, model pla
 // either way.
 func OneShotOptimizeAudited(initial *plan.Placement, hosts []netmodel.HostID, model plan.CostModel, bw plan.BandwidthFn, d Decision) *plan.Placement {
 	cur := initial.Clone()
-	first := model.Evaluate(cur, bw)
-	d.Path(first.Cost, first.Path)
-	curCost := first.Cost
+	tree := cur.Tree()
+	scorer := model.NewScorer(cur, hosts, bw)
+	curCost, path := scorer.CriticalPath(cur)
+	d.Path(curCost, path)
 	candidates := 0
 	for round := 0; round < maxOneShotRounds; round++ {
-		eval := model.Evaluate(cur, bw)
+		if round > 0 {
+			_, path = scorer.CriticalPath(cur)
+		}
+		// Each candidate moves one operator of cur, is scored, and moves
+		// back; the round's best move is applied when the round ends.
 		bestCost := curCost
-		var best *plan.Placement
-		var bestOp plan.NodeID
-		var bestFrom, bestTo netmodel.HostID
-		for _, op := range eval.CriticalOperators(cur.Tree()) {
+		bestOp := plan.NoNode
+		var bestTo netmodel.HostID
+		for _, op := range path {
+			if tree.Node(op).Kind != plan.Operator {
+				continue
+			}
+			from := cur.Loc(op)
 			for _, h := range hosts {
-				if h == cur.Loc(op) {
+				if h == from {
 					continue
 				}
-				cand := cur.Clone()
-				cand.SetLoc(op, h)
-				c := model.Evaluate(cand, bw).Cost
+				cur.SetLoc(op, h)
+				c := scorer.Score(cur)
 				candidates++
-				d.Candidate(op, cur.Loc(op), h, round, c, false)
+				d.Candidate(op, from, h, round, c, false)
 				if c < bestCost-improvementEps {
 					bestCost = c
-					best = cand
-					bestOp, bestFrom, bestTo = op, cur.Loc(op), h
+					bestOp, bestTo = op, h
 				}
 			}
+			cur.SetLoc(op, from)
 		}
-		if best == nil {
+		if bestOp == plan.NoNode {
 			break
 		}
-		d.Move(bestOp, bestFrom, bestTo, curCost-bestCost)
-		cur = best
+		d.Move(bestOp, cur.Loc(bestOp), bestTo, curCost-bestCost)
+		cur.SetLoc(bestOp, bestTo)
 		curCost = bestCost
 	}
 	d.End(curCost, candidates)

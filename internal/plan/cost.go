@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"time"
 
 	"wadc/internal/netmodel"
@@ -90,43 +91,120 @@ type Evaluation struct {
 // fixed array on its stack; placements over more hosts use the heap.
 const maxStackHosts = 64
 
-// evaluation is Evaluate's working state: per-node path costs and per-host
-// NIC and CPU loads, indexed by host id.
-type evaluation struct {
-	m        CostModel
+// edgeCosts serves EdgeCost for one bandwidth view. Without a table every
+// remote edge queries bw. With one, table[from*hosts+to] memoises the
+// ordered pair's cost, NaN until it is first asked for, so bw sees the same
+// first queries in the same order and no repeats.
+type edgeCosts struct {
+	m     CostModel
+	bw    BandwidthFn
+	hosts int
+	table []float64
+}
+
+func (c *edgeCosts) cost(from, to netmodel.HostID) float64 {
+	if c.table == nil || from == to {
+		return c.m.EdgeCost(from, to, c.bw)
+	}
+	i := int(from)*c.hosts + int(to)
+	v := c.table[i]
+	if math.IsNaN(v) {
+		v = c.m.EdgeCost(from, to, c.bw)
+		c.table[i] = v
+	}
+	return v
+}
+
+// walk is the tree walk Evaluate and Scorer share: every node's path cost,
+// and per-host NIC and CPU loads indexed by host id.
+type walk struct {
 	p        *Placement
-	bw       BandwidthFn
+	edges    edgeCosts
 	costs    []float64
 	nic, cpu []float64
 }
 
 // visit returns the longest path cost from node id's subtree to id,
 // accumulating every host's loads on the way.
-func (e *evaluation) visit(id NodeID) float64 {
-	p, m := e.p, e.m
+func (w *walk) visit(id NodeID) float64 {
+	p, m := w.p, w.edges.m
 	n := p.tree.Node(id)
 	best := 0.0
 	for _, c := range n.Children {
-		ec := m.EdgeCost(p.loc[c], p.loc[id], e.bw)
+		ec := w.edges.cost(p.loc[c], p.loc[id])
 		if ec > 0 {
 			// One NIC per host: each remote transfer occupies both
 			// endpoints' NICs for its duration.
-			e.nic[p.loc[c]] += ec
-			e.nic[p.loc[id]] += ec
+			w.nic[p.loc[c]] += ec
+			w.nic[p.loc[id]] += ec
 		}
-		cc := e.visit(c) + ec
+		cc := w.visit(c) + ec
 		if cc > best {
 			best = cc
 		}
 	}
 	switch n.Kind {
 	case Operator:
-		e.cpu[p.loc[id]] += m.ComputeDur.Seconds()
+		w.cpu[p.loc[id]] += m.ComputeDur.Seconds()
 	case Server:
-		e.cpu[p.loc[id]] += m.DiskDur.Seconds()
+		w.cpu[p.loc[id]] += m.DiskDur.Seconds()
 	}
-	e.costs[id] = best + m.nodeCost(n)
-	return e.costs[id]
+	w.costs[id] = best + m.nodeCost(n)
+	return w.costs[id]
+}
+
+// score walks the whole tree and returns the placement's cost, its
+// critical path, and its busiest load with the lowest host carrying it.
+func (w *walk) score() (total, critical, bottleneck float64, bottleneckHost netmodel.HostID) {
+	critical = w.visit(w.p.tree.client)
+	for h := range w.nic {
+		l := max(w.nic[h], w.cpu[h])
+		if l > bottleneck {
+			bottleneck = l
+			bottleneckHost = netmodel.HostID(h)
+		}
+	}
+	total = critical
+	if bottleneck > total {
+		total = bottleneck
+	}
+	return total, critical, bottleneck, bottleneckHost
+}
+
+// path appends the critical path of the placement w walked last to dst:
+// from the client, it repeatedly descends into the child that realised the
+// max.
+func (w *walk) path(dst []NodeID) []NodeID {
+	t, p := w.p.tree, w.p
+	cur := t.client
+	dst = append(dst, cur)
+	for {
+		bestChild := NoNode
+		bestCost := -1.0
+		for _, c := range t.Node(cur).Children {
+			cc := w.costs[c] + w.edges.cost(p.loc[c], p.loc[cur])
+			if cc > bestCost {
+				bestCost = cc
+				bestChild = c
+			}
+		}
+		if bestChild == NoNode {
+			return dst
+		}
+		dst = append(dst, bestChild)
+		cur = bestChild
+	}
+}
+
+// hostSpan returns one more than the highest host id p uses.
+func (p *Placement) hostSpan() int {
+	hosts := 0
+	for _, h := range p.loc {
+		if int(h) >= hosts {
+			hosts = int(h) + 1
+		}
+	}
+	return hosts
 }
 
 // Evaluate scores a placement under the cost model. The evaluation is
@@ -138,62 +216,24 @@ func (e *evaluation) visit(id NodeID) float64 {
 //lint:allocbudget 3 the returned NodeCost and Path slices, plus the load slice of a placement over more than 64 hosts
 func (m CostModel) Evaluate(p *Placement, bw BandwidthFn) Evaluation {
 	t := p.tree
-	hosts := 0
-	for _, h := range p.loc {
-		if int(h) >= hosts {
-			hosts = int(h) + 1
-		}
-	}
+	hosts := p.hostSpan()
 	var stack [2 * maxStackHosts]float64
 	loads := stack[:]
 	if hosts > maxStackHosts {
 		loads = make([]float64, 2*hosts)
 	}
-	// Return costs from its own variable, not as e.costs: escape analysis
-	// does not tell e's fields apart, so returning e.costs would move the
+	// Return costs from its own variable, not as w.costs: escape analysis
+	// does not tell w's fields apart, so returning w.costs would move the
 	// stack array to the heap.
 	costs := make([]float64, t.NumNodes())
-	e := evaluation{
-		m: m, p: p, bw: bw, costs: costs,
+	w := walk{
+		p: p, edges: edgeCosts{m: m, bw: bw}, costs: costs,
 		nic: loads[:hosts],
 		cpu: loads[hosts : 2*hosts],
 	}
-	critical := e.visit(t.client)
-	var bottleneck float64
-	var bottleneckHost netmodel.HostID
-	for h := range hosts {
-		l := max(e.nic[h], e.cpu[h])
-		if l > bottleneck {
-			bottleneck = l
-			bottleneckHost = netmodel.HostID(h)
-		}
-	}
-	total := critical
-	if bottleneck > total {
-		total = bottleneck
-	}
-
-	// Extract the critical path: from the client, repeatedly descend into
-	// the child that realised the max.
-	path := []NodeID{t.client}
-	cur := t.client
-	for {
-		n := t.Node(cur)
-		if len(n.Children) == 0 {
-			break
-		}
-		bestChild := NoNode
-		bestCost := -1.0
-		for _, c := range n.Children {
-			cc := costs[c] + m.EdgeCost(p.loc[c], p.loc[cur], bw)
-			if cc > bestCost {
-				bestCost = cc
-				bestChild = c
-			}
-		}
-		path = append(path, bestChild)
-		cur = bestChild
-	}
+	total, critical, bottleneck, bottleneckHost := w.score()
+	// A path holds the client, at most one operator per level, and a server.
+	path := w.path(make([]NodeID, 0, t.depth+2))
 	return Evaluation{
 		Cost:           total,
 		CriticalPath:   critical,
@@ -204,16 +244,62 @@ func (m CostModel) Evaluate(p *Placement, bw BandwidthFn) Evaluation {
 	}
 }
 
-// CriticalOperators filters an evaluation's path down to operator nodes, the
-// candidates the one-shot algorithm considers moving.
-func (e Evaluation) CriticalOperators(t *Tree) []NodeID {
-	var out []NodeID
-	for _, id := range e.Path {
-		if t.Node(id).Kind == Operator {
-			out = append(out, id)
-		}
+// Scorer scores placements of one tree for one optimiser call: the placement
+// it is built from and any placement that moves operators among the given
+// hosts. Its edge table asks bw for each ordered host pair once, and its
+// node costs, per-host loads and path are reused, so scoring allocates
+// nothing.
+type Scorer struct {
+	w    walk
+	path []NodeID
+}
+
+// NewScorer returns a Scorer for placements of p's tree over p's hosts and
+// hosts, viewing the network through bw. It returns a value so that a
+// caller's Scorer, and with it bw, can stay on the caller's stack.
+func (m CostModel) NewScorer(p *Placement, hosts []netmodel.HostID, bw BandwidthFn) Scorer {
+	n := p.hostSpan()
+	for _, h := range hosts {
+		n = max(n, int(h)+1)
 	}
-	return out
+	// One buffer holds the edge table, the loads and the node costs.
+	buf := make([]float64, n*n+2*n+p.tree.NumNodes())
+	table := buf[:n*n]
+	for i := range table {
+		table[i] = math.NaN()
+	}
+	return Scorer{
+		w: walk{
+			edges: edgeCosts{m: m, bw: bw, hosts: n, table: table},
+			costs: buf[n*n+2*n:],
+			nic:   buf[n*n : n*n+n],
+			cpu:   buf[n*n+n : n*n+2*n],
+		},
+		path: make([]NodeID, 0, p.tree.depth+2),
+	}
+}
+
+// Score returns the placement's cost, bit for bit Evaluate(p, bw).Cost.
+//
+//lint:hotpath
+//lint:allocbudget 0 the edge table and the scratch space are allocated by NewScorer
+func (s *Scorer) Score(p *Placement) float64 { return s.run(p) }
+
+// CriticalPath returns the placement's cost and critical path, as Evaluate
+// does. The path is valid until the next call.
+func (s *Scorer) CriticalPath(p *Placement) (float64, []NodeID) {
+	// Nothing derived from s is stored back into s, so a Scorer on its
+	// caller's stack, and the bw it holds, stay there.
+	return s.run(p), s.w.path(s.path[:0])
+}
+
+// run walks p and returns its cost.
+func (s *Scorer) run(p *Placement) float64 {
+	s.w.p = p
+	clear(s.w.nic)
+	clear(s.w.cpu)
+	total, _, _, _ := s.w.score()
+	return total
 }
 
 // CountingBandwidth wraps a BandwidthFn and records the distinct links

@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,12 +83,8 @@ func TestEvaluateDownloadAll(t *testing.T) {
 	if math.Abs(ev.Cost-2.0) > 1e-12 {
 		t.Errorf("cost = %v, want 2.0", ev.Cost)
 	}
-	if len(ev.Path) != 3 { // client, op, server
+	if len(ev.Path) != 3 || tr.Node(ev.Path[1]).Kind != Operator { // client, op, server
 		t.Errorf("path = %v", ev.Path)
-	}
-	ops := ev.CriticalOperators(tr)
-	if len(ops) != 1 {
-		t.Errorf("critical operators = %v", ops)
 	}
 }
 
@@ -305,5 +302,98 @@ func TestEvaluateProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// firstQueries wraps a bandwidth function of the link and lists the links
+// in the order they are first asked for.
+type firstQueries struct {
+	fn    BandwidthFn
+	seen  map[[2]netmodel.HostID]bool
+	order [][2]netmodel.HostID
+}
+
+func (q *firstQueries) bw(a, b netmodel.HostID) trace.Bandwidth {
+	k := [2]netmodel.HostID{min(a, b), max(a, b)}
+	if !q.seen[k] {
+		q.seen[k] = true
+		q.order = append(q.order, k)
+	}
+	return q.fn(a, b)
+}
+
+// TestScoreMatchesEvaluate: on random trees, placements and bandwidths
+// (including dead links), one Scorer reused across a sequence of
+// placements returns Evaluate's cost bit for bit and its critical path,
+// and asks for the same
+// links in the same first-query order as Evaluate does on the same
+// sequence.
+func TestScoreMatchesEvaluate(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := 2 + rng.Intn(20)
+		tr := CompleteBinary(s)
+		if seed%2 == 1 {
+			tr = LeftDeep(s)
+		}
+		sh, ch := DefaultHostAssignment(s)
+		p := NewPlacement(tr, sh, ch)
+		// Candidate hosts reach past the tree's own, as spare sites do.
+		hosts := make([]netmodel.HostID, s+1+rng.Intn(4))
+		for i := range hosts {
+			hosts[i] = netmodel.HostID(i)
+		}
+		links := make(map[[2]netmodel.HostID]trace.Bandwidth)
+		for a := range hosts {
+			for b := a + 1; b < len(hosts); b++ {
+				v := trace.Bandwidth(rng.Float64()*200000 + 1)
+				if rng.Intn(8) == 0 {
+					v = 0
+				}
+				links[[2]netmodel.HostID{hosts[a], hosts[b]}] = v
+			}
+		}
+		fn := func(a, b netmodel.HostID) trace.Bandwidth { return links[[2]netmodel.HostID{min(a, b), max(a, b)}] }
+		evalQ := &firstQueries{fn: fn, seen: map[[2]netmodel.HostID]bool{}}
+		scoreQ := &firstQueries{fn: fn, seen: map[[2]netmodel.HostID]bool{}}
+		m := CostModel{
+			Startup:    time.Duration(rng.Intn(100)) * time.Millisecond,
+			DataBytes:  int64(1 + rng.Intn(256*1024)),
+			ComputeDur: time.Duration(rng.Intn(2000)) * time.Millisecond,
+			DiskDur:    time.Duration(rng.Intn(2000)) * time.Millisecond,
+		}
+		sc := m.NewScorer(p, hosts, scoreQ.bw)
+		ops := tr.Operators()
+		for step := 0; step < 40; step++ {
+			want := m.Evaluate(p, evalQ.bw)
+			if got := sc.Score(p); math.Float64bits(got) != math.Float64bits(want.Cost) {
+				t.Fatalf("seed %d step %d: Score = %v, Evaluate = %v (%s)", seed, step, got, want.Cost, p)
+			}
+			if got, path := sc.CriticalPath(p); math.Float64bits(got) != math.Float64bits(want.Cost) || !slices.Equal(path, want.Path) {
+				t.Fatalf("seed %d step %d: CriticalPath = %v %v, Evaluate = %v %v", seed, step, got, path, want.Cost, want.Path)
+			}
+			p.SetLoc(ops[rng.Intn(len(ops))], hosts[rng.Intn(len(hosts))])
+		}
+		if !slices.Equal(scoreQ.order, evalQ.order) {
+			t.Fatalf("seed %d: first queries\nscore    %v\nevaluate %v", seed, scoreQ.order, evalQ.order)
+		}
+	}
+}
+
+// TestScoreZeroAlloc: scoring a placement and finding its critical path
+// allocate nothing.
+func TestScoreZeroAlloc(t *testing.T) {
+	tr := CompleteBinary(32)
+	sh, ch := DefaultHostAssignment(32)
+	p := NewPlacement(tr, sh, ch)
+	for i, op := range tr.Operators() {
+		p.SetLoc(op, netmodel.HostID(i%33))
+	}
+	sc := DefaultCostModel(128*1024).NewScorer(p, nil, uniformBW(1000))
+	if allocs := testing.AllocsPerRun(100, func() { sc.Score(p) }); allocs != 0 {
+		t.Fatalf("Score allocated %.1f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sc.CriticalPath(p) }); allocs != 0 {
+		t.Fatalf("CriticalPath allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the hot-path benchmarks (sim scheduler, netmodel transfers, monitor
-# piggybacking, cost-model scoring, dataflow engine, plus the per-figure and
-# ablation benchmarks at the repo root) and record the results as
-# BENCH_<date>.json, so performance has a trajectory instead of anecdotes.
+# piggybacking, cost-model scoring, the one-shot optimiser, dataflow engine,
+# plus the per-figure and ablation benchmarks at the repo root) and record
+# the results as BENCH_<date>.json, so performance has a trajectory instead
+# of anecdotes.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCH_TIME=2s      per-benchmark time (default 1s)
@@ -20,6 +21,7 @@ pkgs=(
   ./internal/netmodel/
   ./internal/monitor/
   ./internal/plan/
+  ./internal/placement/
   ./internal/dataflow/
   .
 )

@@ -48,7 +48,7 @@ STRICT = os.environ.get("STRICT_ALLOCS") == "1"
 # The packages whose hot functions carry //lint:allocbudget annotations:
 # alloc movement here is blocking under --strict-allocs.
 HOT_PKGS = {"wadc/internal/sim", "wadc/internal/netmodel", "wadc/internal/monitor",
-            "wadc/internal/plan", "wadc/internal/dataflow"}
+            "wadc/internal/plan", "wadc/internal/placement", "wadc/internal/dataflow"}
 
 def rate(v):
     if v is None:
