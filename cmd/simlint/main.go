@@ -16,7 +16,6 @@
 //	                escape analysis (-gcflags=-m=2); exact, not upper bounds
 //	singlewriter    //lint:singlewriter ownership domains: no goroutine or
 //	                unregistered exported path into single-writer state
-//	poolhygiene     sync.Pool Get/Put pairing, no escaping pooled values
 //	directives      every //lint: waiver is known and justified
 //
 // Output formats:

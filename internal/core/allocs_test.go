@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"wadc/internal/faults"
 	"wadc/internal/placement"
+	"wadc/internal/sim"
 	"wadc/internal/telemetry"
 	"wadc/internal/tenant"
 )
@@ -171,5 +173,53 @@ func TestAllocsMultiByteIdentical(t *testing.T) {
 	}
 	if cov := rep.Coverage(); cov < 0.9 {
 		t.Errorf("multi coverage = %.3f, want >= 0.9", cov)
+	}
+}
+
+// TestAllocsFailedRunRestoresProfiler: a tracked run that is rejected after
+// the capture started — inside the world builder or after it — must still
+// end the capture, or every later allocation in the process stays sampled
+// at MemProfileRate 1.
+func TestAllocsFailedRunRestoresProfiler(t *testing.T) {
+	rate := runtime.MemProfileRate
+	defer func() { runtime.MemProfileRate = rate }()
+	clientCrash := faults.Config{Plan: &faults.Plan{Crashes: []faults.CrashWindow{
+		{Host: 2, At: sim.Second, RecoverAt: 2 * sim.Second},
+	}}}
+	base := RunConfig{
+		NumServers: 2, Links: constLinks(1024), Policy: placement.DownloadAll{},
+		Workload: smallWorkload(3), TrackAllocs: true,
+	}
+	cases := map[string]func() error{
+		"invalid fault plan": func() error {
+			cfg := base
+			cfg.Faults = clientCrash
+			_, err := Run(cfg)
+			return err
+		},
+		"iterations beyond the workload": func() error {
+			cfg := base
+			cfg.Iterations = 5
+			_, err := Run(cfg)
+			return err
+		},
+		"tenant iterations beyond the workload": func() error {
+			_, err := RunMulti(MultiConfig{
+				NumServers: 2, Links: constLinks(1024), Workload: smallWorkload(3), TrackAllocs: true,
+				Tenants: []tenant.Spec{{ID: 1, Seed: 1, NumServers: 2, Iterations: 5, Algorithm: "one-shot"}},
+			})
+			return err
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := run(); err == nil {
+				t.Fatal("config accepted")
+			}
+			if runtime.MemProfileRate != rate {
+				t.Errorf("MemProfileRate = %d after the failed run, want %d", runtime.MemProfileRate, rate)
+				runtime.MemProfileRate = rate
+			}
+		})
 	}
 }

@@ -11,10 +11,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wadc/internal/dataflow"
-	"wadc/internal/estacc"
 	"wadc/internal/faults"
 	"wadc/internal/monitor"
 	"wadc/internal/netmodel"
@@ -136,123 +134,46 @@ type RunConfig struct {
 // RunResult is the outcome of one run.
 type RunResult struct {
 	dataflow.Result
+	WorldStats
 	// Algorithm is the policy name.
 	Algorithm string
 	// Probes and PassiveMeasurements summarise monitoring activity.
 	Probes              int64
 	PassiveMeasurements int64
 	CacheHitRate        float64
-	// NetworkTransfers and BytesMoved summarise network load.
-	NetworkTransfers int64
-	BytesMoved       int64
 	// InitialPlacement and FinalPlacement bracket the run.
 	InitialPlacement *plan.Placement
 	FinalPlacement   *plan.Placement
-	// Fault-injection accounting (all zero when RunConfig.Faults is unset).
-	FaultPlan          *faults.Plan
-	CrashesFired       int
-	MessagesDropped    int64
-	MessagesDuplicated int64
-	TransfersCut       int64
-	// Metrics is the run's metric snapshot (nil unless
-	// RunConfig.CollectMetrics was set).
-	Metrics *telemetry.Snapshot
 	// Decisions summarises the policy's placement-decision activity
 	// (zero for policies that keep no stats, e.g. download-all and the
 	// stateless one-shot value).
 	Decisions placement.DecisionStats
-	// KernelEvents is the total number of events the kernel scheduled —
-	// the denominator for events/sec throughput, maintained whether or
-	// not a perf recorder is attached.
-	KernelEvents int64
-	// Perf is the finalized host-process performance report (nil unless
-	// RunConfig.Perf was set).
-	Perf *obs.Report
-	// AllocSites is the run's attributed allocation profile (nil unless
-	// RunConfig.TrackAllocs was set).
-	AllocSites *obs.AllocReport
-	// Estimator summarises estimator-accuracy tracking (zero unless
-	// RunConfig.TrackEstimates was set with a telemetry sink).
-	Estimator estacc.Stats
 }
 
 // Run executes one complete simulation and returns its result.
 func Run(cfg RunConfig) (RunResult, error) {
-	if cfg.NumServers < 2 {
-		return RunResult{}, fmt.Errorf("core: need at least 2 servers, got %d", cfg.NumServers)
-	}
-	if cfg.Links == nil {
-		return RunResult{}, fmt.Errorf("core: Links is required")
-	}
 	if cfg.Policy == nil {
 		return RunResult{}, fmt.Errorf("core: Policy is required")
 	}
-
-	// The alloc capture brackets everything the run does — assembly, kernel
-	// loop, result construction — so a hot site anywhere in the cell is
-	// attributed. Armed only on request; a run without it never touches the
-	// profiler.
-	var allocCap *obs.AllocCapture
-	if cfg.TrackAllocs {
-		allocCap = obs.StartAllocCapture()
+	w, err := newWorld(MultiConfig{
+		Seed:           cfg.Seed,
+		NumServers:     cfg.NumServers,
+		Links:          cfg.Links,
+		Monitor:        cfg.Monitor,
+		Faults:         cfg.Faults,
+		FlatPriorities: cfg.FlatPriorities,
+		Tracer:         cfg.Tracer,
+		Telemetry:      cfg.Telemetry,
+		CollectMetrics: cfg.CollectMetrics,
+		TrackEstimates: cfg.TrackEstimates,
+		Perf:           cfg.Perf,
+		TrackAllocs:    cfg.TrackAllocs,
+	})
+	if err != nil {
+		return RunResult{}, err
 	}
-
-	kOpts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.Perf != nil {
-		kOpts = append(kOpts, sim.WithObserver(cfg.Perf))
-	}
-	if cfg.Tracer != nil {
-		kOpts = append(kOpts, sim.WithTracer(cfg.Tracer))
-	}
-	var collector *telemetry.Collector
-	if cfg.CollectMetrics {
-		collector = telemetry.NewCollector()
-		kOpts = append(kOpts, sim.WithTelemetry(collector))
-	}
-	if cfg.Telemetry != nil {
-		kOpts = append(kOpts, sim.WithTelemetry(cfg.Telemetry))
-	}
-	k := sim.NewKernel(kOpts...)
-	var netOpts []netmodel.NetOption
-	if cfg.FlatPriorities {
-		netOpts = append(netOpts, netmodel.WithFlatPriorities())
-	}
-	net := netmodel.NewNetwork(k, netOpts...)
-	for i := 0; i < cfg.NumServers; i++ {
-		net.AddHost(fmt.Sprintf("s%d", i))
-	}
-	client := net.AddHost("client")
-	for a := 0; a < net.NumHosts(); a++ {
-		for b := a + 1; b < net.NumHosts(); b++ {
-			tr := cfg.Links(netmodel.HostID(a), netmodel.HostID(b))
-			if tr == nil {
-				return RunResult{}, fmt.Errorf("core: no trace for link %d<->%d", a, b)
-			}
-			net.SetLink(netmodel.HostID(a), netmodel.HostID(b), tr)
-		}
-	}
-	mon := monitor.NewSystem(net, cfg.Monitor)
-
-	// Fault injection: generate (or take) the plan, validate it against the
-	// topology — the client host is protected — and install the injector.
-	// Everything is seeded, so a faulty run replays bit-for-bit.
-	var inj *faults.Injector
-	var faultPlan *faults.Plan
-	if cfg.Faults.Enabled() {
-		fcfg := cfg.Faults
-		if fcfg.Seed == 0 {
-			fcfg.Seed = cfg.Seed*1000003 + 17
-		}
-		faultPlan = fcfg.Plan
-		if faultPlan == nil {
-			faultPlan = faults.Generate(fcfg, net.NumHosts(), client.ID())
-		}
-		if err := faultPlan.Validate(net.NumHosts(), client.ID()); err != nil {
-			return RunResult{}, fmt.Errorf("core: invalid fault plan: %w", err)
-		}
-		inj = faults.NewInjector(faultPlan, rand.New(rand.NewSource(fcfg.Seed+1)), fcfg.Retry)
-		net.SetFaults(inj)
-	}
+	defer w.release()
+	net, mon := w.net, w.mon
 
 	var tree *plan.Tree
 	if cfg.Shape == GreedyBandwidthTree {
@@ -266,23 +187,23 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 	serverHosts, _ := plan.DefaultHostAssignment(cfg.NumServers)
 	images := workload.Generate(cfg.Seed, cfg.NumServers, cfg.Workload)
+	iters, err := iterations(cfg.Iterations, images)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("core: %w", err)
+	}
 	if cfg.Perf != nil {
 		// One progress unit per image the client will receive.
-		iters := cfg.Iterations
-		if iters <= 0 && len(images) > 0 {
-			iters = len(images[0])
-		}
 		cfg.Perf.AddWork(int64(iters))
 	}
 	model := plan.DefaultCostModel(workload.MeanBytes(images))
-	inst := placement.NewInstance(net, mon, tree, serverHosts, client.ID(), model)
-	if cfg.TrackEstimates {
-		inst.Acc = estacc.New(net, mon)
-	}
+	inst := placement.NewInstance(net, mon, tree, serverHosts, w.client, model)
+	inst.Acc = w.acc
 
+	// Unlike RunMulti, the single query's engine schedules the fault plan
+	// itself (DESIGN.md §10 explains why).
 	var eng *dataflow.Engine
 	var initialPl *plan.Placement
-	bootstrap := k.Spawn("bootstrap", func(p *sim.Proc) {
+	bootstrap := w.k.Spawn("bootstrap", func(p *sim.Proc) {
 		initial := cfg.Policy.InitialPlacement(p, inst)
 		initialPl = initial.Clone()
 		eng = dataflow.New(dataflow.Config{
@@ -291,7 +212,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 			Images:         images,
 			Iterations:     cfg.Iterations,
 			TrackTransfers: cfg.TrackTransfers,
-			Faults:         inj,
+			Faults:         w.inj,
 		})
 		cfg.Policy.Attach(inst, eng)
 		eng.Start()
@@ -299,7 +220,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	// The bootstrap process runs the policy's initial placement; the engine
 	// retags its own processes at spawn.
 	bootstrap.SetSubsystem(obs.SubsysPlacement)
-	if err := k.Run(); err != nil {
+	if err := w.k.Run(); err != nil {
 		return RunResult{}, fmt.Errorf("core: simulation failed: %w", err)
 	}
 	if eng == nil || !eng.Completed() {
@@ -311,29 +232,12 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Probes:              mon.Probes(),
 		PassiveMeasurements: mon.PassiveMeasurements(),
 		CacheHitRate:        mon.CacheHitRate(),
-		NetworkTransfers:    net.Transfers(),
-		BytesMoved:          net.BytesMoved(),
 		InitialPlacement:    initialPl,
 		FinalPlacement:      eng.CurrentPlacement(),
-		KernelEvents:        int64(k.Scheduled()),
-	}
-	if inj != nil {
-		res.FaultPlan = faultPlan
-		res.CrashesFired = inj.CrashesFired()
-		res.MessagesDropped, res.MessagesDuplicated, res.TransfersCut = net.FaultCounts()
-	}
-	if collector != nil {
-		res.Metrics = collector.Snapshot()
 	}
 	if da, ok := cfg.Policy.(placement.DecisionAudited); ok {
 		res.Decisions = da.DecisionStats()
 	}
-	if cfg.Perf != nil {
-		res.Perf = cfg.Perf.Report()
-	}
-	res.Estimator = inst.Acc.Stats()
-	if allocCap != nil {
-		res.AllocSites = allocCap.Finish(int64(len(res.Arrivals)))
-	}
+	res.WorldStats = w.stats(int64(len(res.Arrivals)))
 	return res, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"wadc/internal/faults"
 	"wadc/internal/monitor"
 	"wadc/internal/netmodel"
 	"wadc/internal/placement"
@@ -214,6 +216,24 @@ func TestRunConfigValidation(t *testing.T) {
 	nilAt := func(a, b netmodel.HostID) *trace.Trace { return nil }
 	if _, err := Run(RunConfig{NumServers: 2, Links: nilAt, Policy: placement.DownloadAll{}}); err == nil {
 		t.Error("nil trace accepted")
+	}
+	// Host 2 is the client of a 2-server run, and fault plans protect it.
+	clientCrash := faults.Config{Plan: &faults.Plan{Crashes: []faults.CrashWindow{
+		{Host: 2, At: sim.Second, RecoverAt: 2 * sim.Second},
+	}}}
+	if _, err := Run(RunConfig{NumServers: 2, Links: constLinks(1), Policy: placement.DownloadAll{},
+		Faults: clientCrash}); err == nil {
+		t.Error("fault plan crashing the client accepted")
+	}
+	// More iterations than generated images must fail at setup, not as a
+	// process panic inside the kernel.
+	_, err := Run(RunConfig{NumServers: 2, Links: constLinks(1), Policy: placement.DownloadAll{},
+		Workload: smallWorkload(3), Iterations: 5})
+	if err == nil {
+		t.Fatal("iterations beyond the workload accepted")
+	}
+	if strings.Contains(err.Error(), "simulation failed") {
+		t.Errorf("iteration overflow surfaced from the kernel: %v", err)
 	}
 }
 

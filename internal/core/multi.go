@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"wadc/internal/dataflow"
@@ -99,8 +98,11 @@ type TenantResult struct {
 	FinalPlacement   *plan.Placement
 }
 
-// MultiResult is the outcome of a multi-tenant run.
+// MultiResult is the outcome of a multi-tenant run. Its WorldStats cover
+// the shared infrastructure; AllocSites.Ops counts delivered iterations
+// across all tenants.
 type MultiResult struct {
+	WorldStats
 	// Tenants holds one entry per spec, in input order.
 	Tenants []TenantResult
 	// Completed and Aborted count tenant outcomes.
@@ -113,34 +115,9 @@ type MultiResult struct {
 	TenantTraffic []netmodel.TenantTraffic
 	// LinkShares is the per-(link, tenant) contention breakdown.
 	LinkShares []netmodel.LinkShare
-	// NetworkTransfers and BytesMoved aggregate the shared network.
-	NetworkTransfers int64
-	BytesMoved       int64
 	// PendingEvents is the kernel queue length after the run drained; zero
 	// proves tenant teardown leaked no timers or wake-ups.
 	PendingEvents int
-	// Fault accounting (zero when MultiConfig.Faults is unset).
-	FaultPlan          *faults.Plan
-	CrashesFired       int
-	MessagesDropped    int64
-	MessagesDuplicated int64
-	TransfersCut       int64
-	// Metrics is the shared metric snapshot (nil unless CollectMetrics).
-	Metrics *telemetry.Snapshot
-	// KernelEvents is the total number of events the shared kernel
-	// scheduled — the events/sec denominator, maintained with or without
-	// a perf recorder.
-	KernelEvents int64
-	// Perf is the finalized host-process performance report (nil unless
-	// MultiConfig.Perf was set).
-	Perf *obs.Report
-	// AllocSites is the run's attributed allocation profile (nil unless
-	// MultiConfig.TrackAllocs was set). Ops counts delivered iterations
-	// across all tenants.
-	AllocSites *obs.AllocReport
-	// Estimator summarises estimator-accuracy tracking across all tenants
-	// (zero unless MultiConfig.TrackEstimates was set with a telemetry sink).
-	Estimator estacc.Stats
 }
 
 // tenantRun is the harness's per-tenant state: everything resolved at setup
@@ -151,6 +128,7 @@ type tenantRun struct {
 	serverHosts []netmodel.HostID
 	tree        *plan.Tree
 	images      [][]workload.Image
+	iters       int // resolved iteration count (0 for an idle tenant)
 	model       plan.CostModel
 
 	eng        *dataflow.Engine
@@ -167,12 +145,6 @@ type tenantRun struct {
 // unchanged from Run: the same config replays byte-for-byte, whatever the
 // tenant count.
 func RunMulti(cfg MultiConfig) (MultiResult, error) {
-	if cfg.NumServers < 2 {
-		return MultiResult{}, fmt.Errorf("core: need at least 2 pool servers, got %d", cfg.NumServers)
-	}
-	if cfg.Links == nil {
-		return MultiResult{}, fmt.Errorf("core: Links is required")
-	}
 	if len(cfg.Tenants) == 0 {
 		return MultiResult{}, fmt.Errorf("core: no tenants")
 	}
@@ -186,94 +158,27 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		}
 		seen[sp.ID] = true
 	}
-
-	// See RunConfig.TrackAllocs: bracket everything the run does.
-	var allocCap *obs.AllocCapture
-	if cfg.TrackAllocs {
-		allocCap = obs.StartAllocCapture()
+	w, err := newWorld(cfg)
+	if err != nil {
+		return MultiResult{}, err
 	}
-
-	kOpts := []sim.Option{sim.WithSeed(cfg.Seed)}
-	if cfg.Perf != nil {
-		kOpts = append(kOpts, sim.WithObserver(cfg.Perf))
-	}
-	if cfg.Tracer != nil {
-		kOpts = append(kOpts, sim.WithTracer(cfg.Tracer))
-	}
-	var collector *telemetry.Collector
-	if cfg.CollectMetrics {
-		collector = telemetry.NewCollector()
-		kOpts = append(kOpts, sim.WithTelemetry(collector))
-	}
-	if cfg.Telemetry != nil {
-		kOpts = append(kOpts, sim.WithTelemetry(cfg.Telemetry))
-	}
-	k := sim.NewKernel(kOpts...)
-	var netOpts []netmodel.NetOption
-	if cfg.FlatPriorities {
-		netOpts = append(netOpts, netmodel.WithFlatPriorities())
-	}
-	net := netmodel.NewNetwork(k, netOpts...)
-	for i := 0; i < cfg.NumServers; i++ {
-		net.AddHost(fmt.Sprintf("s%d", i))
-	}
-	client := net.AddHost("client")
-	for a := 0; a < net.NumHosts(); a++ {
-		for b := a + 1; b < net.NumHosts(); b++ {
-			tr := cfg.Links(netmodel.HostID(a), netmodel.HostID(b))
-			if tr == nil {
-				return MultiResult{}, fmt.Errorf("core: no trace for link %d<->%d", a, b)
-			}
-			net.SetLink(netmodel.HostID(a), netmodel.HostID(b), tr)
-		}
-	}
-	mon := monitor.NewSystem(net, cfg.Monitor)
-	var acc *estacc.Tracker // one shared tracker: per-link regime cursors span tenants
-	if cfg.TrackEstimates {
-		acc = estacc.New(net, mon)
-	}
-
-	var inj *faults.Injector
-	var faultPlan *faults.Plan
-	if cfg.Faults.Enabled() {
-		fcfg := cfg.Faults
-		if fcfg.Seed == 0 {
-			fcfg.Seed = cfg.Seed*1000003 + 17
-		}
-		faultPlan = fcfg.Plan
-		if faultPlan == nil {
-			faultPlan = faults.Generate(fcfg, net.NumHosts(), client.ID())
-		}
-		if err := faultPlan.Validate(net.NumHosts(), client.ID()); err != nil {
-			return MultiResult{}, fmt.Errorf("core: invalid fault plan: %w", err)
-		}
-		inj = faults.NewInjector(faultPlan, rand.New(rand.NewSource(fcfg.Seed+1)), fcfg.Retry)
-		net.SetFaults(inj)
-	}
+	defer w.release()
+	k, net := w.k, w.net
 
 	// Resolve every tenant's topology, tree, workload and policy up front:
 	// arrival callbacks run mid-simulation and must not be able to fail.
 	runs := make([]*tenantRun, len(cfg.Tenants))
+	var totalIters int64
 	for i, sp := range cfg.Tenants {
 		tr, err := prepareTenant(sp, cfg, net)
 		if err != nil {
 			return MultiResult{}, err
 		}
 		runs[i] = tr
+		totalIters += int64(tr.iters)
 	}
 	if cfg.Perf != nil {
 		// One progress unit per image any tenant's client will receive.
-		var totalIters int64
-		for _, tr := range runs {
-			if tr.spec.Idle {
-				continue
-			}
-			iters := tr.spec.Iterations
-			if iters <= 0 && len(tr.images) > 0 {
-				iters = len(tr.images[0])
-			}
-			totalIters += int64(iters)
-		}
 		cfg.Perf.AddWork(totalIters)
 	}
 
@@ -281,8 +186,8 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	// out to every engine that has arrived and not yet departed. (Engines are
 	// created with SharedFaults so they do not re-schedule the plan
 	// themselves — N engines replaying every crash N times.)
-	if inj != nil {
-		inj.Schedule(k, func(h netmodel.HostID) {
+	if w.inj != nil {
+		w.inj.Schedule(k, func(h netmodel.HostID) {
 			for _, tr := range runs {
 				if tr.eng != nil && !tr.departed {
 					tr.eng.HostCrashed(h)
@@ -302,7 +207,7 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	for _, tr := range runs {
 		tr := tr
 		k.At(tr.spec.ArriveAt, func() {
-			launchTenant(k, net, mon, acc, client.ID(), inj, tr)
+			launchTenant(k, net, w.mon, w.acc, w.client, w.inj, tr)
 		})
 	}
 
@@ -311,15 +216,13 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	}
 
 	res := MultiResult{
-		Tenants:          make([]TenantResult, len(runs)),
-		NetworkTransfers: net.Transfers(),
-		BytesMoved:       net.BytesMoved(),
-		TenantTraffic:    net.TenantTraffic(),
-		LinkShares:       net.LinkShares(),
-		PendingEvents:    k.Pending(),
-		KernelEvents:     int64(k.Scheduled()),
+		Tenants:       make([]TenantResult, len(runs)),
+		TenantTraffic: net.TenantTraffic(),
+		LinkShares:    net.LinkShares(),
+		PendingEvents: k.Pending(),
 	}
 	var throughputs []float64
+	var delivered int64
 	for i, tr := range runs {
 		if tr.eng == nil || !tr.departed {
 			return MultiResult{}, fmt.Errorf("core: tenant %d never departed", tr.spec.ID)
@@ -353,28 +256,11 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		if !tr.spec.Idle {
 			throughputs = append(throughputs, t.Throughput)
 		}
+		delivered += int64(t.Delivered)
 		res.Tenants[i] = t
 	}
 	res.JainFairness = metrics.JainIndex(throughputs)
-	if inj != nil {
-		res.FaultPlan = faultPlan
-		res.CrashesFired = inj.CrashesFired()
-		res.MessagesDropped, res.MessagesDuplicated, res.TransfersCut = net.FaultCounts()
-	}
-	if collector != nil {
-		res.Metrics = collector.Snapshot()
-	}
-	if cfg.Perf != nil {
-		res.Perf = cfg.Perf.Report()
-	}
-	res.Estimator = acc.Stats()
-	if allocCap != nil {
-		var delivered int64
-		for _, t := range res.Tenants {
-			delivered += int64(t.Delivered)
-		}
-		res.AllocSites = allocCap.Finish(delivered)
-	}
+	res.WorldStats = w.stats(delivered)
 	return res, nil
 }
 
@@ -408,6 +294,10 @@ func prepareTenant(sp tenant.Spec, cfg MultiConfig, net *netmodel.Network) (*ten
 	} else {
 		images = workload.Generate(sp.Seed, sp.NumServers, cfg.Workload)
 	}
+	iters, err := iterations(sp.Iterations, images)
+	if err != nil {
+		return nil, fmt.Errorf("core: tenant %d: %w", sp.ID, err)
+	}
 	policy, err := NewPolicy(sp.Algorithm, PolicyOptions{Period: cfg.Period, Seed: sp.Seed})
 	if err != nil {
 		return nil, err
@@ -418,6 +308,7 @@ func prepareTenant(sp tenant.Spec, cfg MultiConfig, net *netmodel.Network) (*ten
 		serverHosts: serverHosts,
 		tree:        tree,
 		images:      images,
+		iters:       iters,
 		model:       plan.DefaultCostModel(workload.MeanBytes(images)),
 	}, nil
 }

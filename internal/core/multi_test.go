@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"wadc/internal/analysis"
 	"wadc/internal/faults"
 	"wadc/internal/netmodel"
+	"wadc/internal/sim"
 	"wadc/internal/telemetry"
 	"wadc/internal/tenant"
+	"wadc/internal/trace"
 )
 
 // multiFaults is the shared faulty mode for the multi-tenant suite: the same
@@ -307,35 +310,69 @@ func TestRunMultiContention(t *testing.T) {
 
 // TestRunMultiValidation rejects malformed configurations up front.
 func TestRunMultiValidation(t *testing.T) {
-	base := MultiConfig{
-		Seed: 1, NumServers: 4, Links: constLinks(1024),
-		Workload: smallWorkload(2),
-	}
+	one := []tenant.Spec{{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"}}
 	cases := []struct {
 		name    string
 		tenants []tenant.Spec
+		edit    func(*MultiConfig)
+		// mention, when set, must appear in the error: a per-tenant problem
+		// is reported against the tenant that has it.
+		mention string
 	}{
-		{"no tenants", nil},
-		{"duplicate IDs", []tenant.Spec{
+		{name: "no tenants"},
+		{name: "duplicate IDs", tenants: []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
 			{ID: 1, Seed: 2, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
 		}},
-		{"zero ID", []tenant.Spec{
+		{name: "zero ID", tenants: []tenant.Spec{
 			{ID: 0, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
 		}},
-		{"unknown algorithm", []tenant.Spec{
+		{name: "unknown algorithm", tenants: []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "mystery"},
 		}},
-		{"oversubscribed pool", []tenant.Spec{
+		{name: "oversubscribed pool", tenants: []tenant.Spec{
 			{ID: 1, Seed: 1, NumServers: 9, Iterations: 1, Algorithm: "one-shot"},
+		}},
+		{name: "iterations beyond the workload", tenants: []tenant.Spec{
+			{ID: 1, Seed: 1, NumServers: 2, Iterations: 1, Algorithm: "one-shot"},
+			{ID: 7, Seed: 2, NumServers: 2, Iterations: 5, Algorithm: "one-shot"},
+		}, mention: "tenant 7"},
+		{name: "idle tenant with iterations", tenants: []tenant.Spec{
+			{ID: 4, NumServers: 2, Iterations: 2, Algorithm: "download-all", Idle: true},
+		}, mention: "tenant 4"},
+		{name: "missing links", tenants: one, edit: func(c *MultiConfig) { c.Links = nil }},
+		{name: "nil trace for one pair", tenants: one, edit: func(c *MultiConfig) {
+			c.Links = func(a, b netmodel.HostID) *trace.Trace {
+				if a == 1 && b == 3 {
+					return nil
+				}
+				return trace.Constant("l", 1024)
+			}
+		}},
+		{name: "fault plan crashing the client", tenants: one, edit: func(c *MultiConfig) {
+			c.Faults = faults.Config{Plan: &faults.Plan{Crashes: []faults.CrashWindow{
+				{Host: netmodel.HostID(c.NumServers), At: sim.Second, RecoverAt: 2 * sim.Second},
+			}}}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			cfg.Tenants = tc.tenants
-			if _, err := RunMulti(cfg); err == nil {
-				t.Error("config accepted")
+			cfg := MultiConfig{
+				Seed: 1, NumServers: 4, Links: constLinks(1024),
+				Workload: smallWorkload(2), Tenants: tc.tenants,
+			}
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			_, err := RunMulti(cfg)
+			if err == nil {
+				t.Fatal("config accepted")
+			}
+			if tc.mention != "" && !strings.Contains(err.Error(), tc.mention) {
+				t.Errorf("error %q does not name %s", err, tc.mention)
+			}
+			if strings.Contains(err.Error(), "simulation failed") {
+				t.Errorf("rejected by the kernel mid-run, not at setup: %v", err)
 			}
 		})
 	}

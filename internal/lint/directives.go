@@ -12,7 +12,6 @@ var knownDirectives = map[string]bool{
 	"allow-unguarded":  true,
 	"allow-alloc":      true,
 	"allow-concurrent": true,
-	"allow-pool":       true,
 }
 
 // Directives validates the lint directives themselves: every //lint: comment

@@ -26,7 +26,6 @@
 //	//lint:allow-unguarded <reason>   (telemetryguard)
 //	//lint:allow-alloc <reason>       (hotpath)
 //	//lint:allow-concurrent <reason>  (singlewriter)
-//	//lint:allow-pool <reason>        (poolhygiene)
 //	//lint:hotpath                    (marks a function as a checked hot path)
 //	//lint:allocbudget <N> <reason>   (declares a heap-escape budget, allocbudget)
 //	//lint:singlewriter <domain>      (declares the owning dispatch loop of a domain)
@@ -302,7 +301,6 @@ func All() []*Analyzer {
 		HotPath,
 		AllocBudget,
 		SingleWriter,
-		PoolHygiene,
 		Directives,
 	}
 }

@@ -83,7 +83,6 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		"HotPath":        HotPath,
 		"AllocBudget":    AllocBudget,
 		"SingleWriter":   SingleWriter,
-		"PoolHygiene":    PoolHygiene,
 		"Directives":     Directives,
 	}
 	var missing []string

@@ -51,10 +51,6 @@ func (h *Host) ID() HostID { return h.id }
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
 
-// NIC returns the host's network interface resource (exported for tests and
-// utilisation reporting).
-func (h *Host) NIC() *sim.Resource { return h.nic }
-
 // Port returns (creating on first use) the mailbox with the given name.
 // Messages addressed to (host, port) are delivered here.
 func (h *Host) Port(name string) *sim.Mailbox {

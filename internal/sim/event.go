@@ -76,28 +76,24 @@ func (q *eventQueue) pop() *event { return heap.Pop(q).(*event) }
 func (q *eventQueue) remove(i int) { heap.Remove(q, i) }
 
 // Timer is a handle to a scheduled callback; Stop cancels it if it has not
-// yet fired. For periodic timers (Kernel.Every), Stop may be called from
-// inside the callback to end the series.
+// yet fired.
 type Timer struct {
-	k        *Kernel
-	ev       *event
-	periodic bool
-	stopped  bool
+	k       *Kernel
+	ev      *event
+	stopped bool
 }
 
-// Stop cancels the timer. It reports whether any future callback was
-// prevented: true when a pending one-shot was cancelled or a periodic timer
-// was ended, false when the timer already fired or was already stopped.
+// Stop cancels the timer. It reports whether the callback was prevented:
+// false when the timer already fired or was already stopped.
 func (t *Timer) Stop() bool {
 	if t == nil || t.stopped {
 		return false
 	}
 	t.stopped = true
-	cancelled := false
-	if t.ev != nil && !t.ev.cancelled && t.ev.index >= 0 {
-		t.ev.cancelled = true
-		t.k.events.remove(t.ev.index)
-		cancelled = true
+	if t.ev == nil || t.ev.cancelled || t.ev.index < 0 {
+		return false
 	}
-	return cancelled || t.periodic
+	t.ev.cancelled = true
+	t.k.events.remove(t.ev.index)
+	return true
 }

@@ -235,25 +235,6 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 	return &Timer{k: k, ev: k.schedule(t, fn, nil)}
 }
 
-// Every schedules fn every period, starting one period from now, until the
-// returned Timer is stopped or the simulation ends. Periodic work such as the
-// global placement algorithm's relocation timer uses this.
-func (k *Kernel) Every(period time.Duration, fn func()) *Timer {
-	if period <= 0 {
-		panic("sim: Every requires a positive period")
-	}
-	t := &Timer{k: k, periodic: true}
-	var tick func()
-	tick = func() {
-		fn()
-		if !k.stopped && !t.stopped {
-			t.ev = k.schedule(k.now.Add(period), tick, nil)
-		}
-	}
-	t.ev = k.schedule(k.now.Add(period), tick, nil)
-	return t
-}
-
 // Stop halts the simulation: Run returns ErrStopped after the current event
 // completes.
 func (k *Kernel) Stop() { k.stopped = true }

@@ -176,12 +176,15 @@ func TestRunUntilBounds(t *testing.T) {
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.Every(time.Second, func() {
+	var tick func()
+	tick = func() {
 		count++
 		if count == 3 {
 			k.Stop()
 		}
-	})
+		k.After(time.Second, tick)
+	}
+	k.After(time.Second, tick)
 	err := k.Run()
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("Run = %v, want ErrStopped", err)
@@ -189,33 +192,6 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Errorf("count = %d", count)
 	}
-}
-
-func TestEveryPeriodAndStop(t *testing.T) {
-	k := NewKernel()
-	var times []Time
-	var timer *Timer
-	timer = k.Every(10*time.Second, func() {
-		times = append(times, k.Now())
-		if len(times) == 4 {
-			timer.Stop()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(times) != 4 || times[0] != 10*Second || times[3] != 40*Second {
-		t.Errorf("times = %v", times)
-	}
-}
-
-func TestEveryInvalidPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0) did not panic")
-		}
-	}()
-	NewKernel().Every(0, func() {})
 }
 
 func TestTimerStop(t *testing.T) {
@@ -338,49 +314,6 @@ func TestRandSeedChangesOutcome(t *testing.T) {
 	}
 	if draw(7) != draw(7) {
 		t.Error("same seed produced different draws")
-	}
-}
-
-func TestConditionWaitFor(t *testing.T) {
-	k := NewKernel()
-	c := NewCondition(k)
-	ready := false
-	var doneAt Time
-	k.Spawn("waiter", func(p *Proc) {
-		c.WaitFor(p, func() bool { return ready })
-		doneAt = p.Now()
-	})
-	k.Spawn("setter", func(p *Proc) {
-		p.Hold(3 * time.Second)
-		c.Signal() // spurious: ready still false
-		p.Hold(2 * time.Second)
-		ready = true
-		c.Signal()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if doneAt != 5*Second {
-		t.Errorf("waiter finished at %v, want 5s", doneAt)
-	}
-}
-
-func TestConditionSignalWakesAll(t *testing.T) {
-	k := NewKernel()
-	c := NewCondition(k)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
-	}
-	k.After(time.Second, func() { c.Signal() })
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if woken != 5 {
-		t.Errorf("woken = %d, want 5", woken)
 	}
 }
 

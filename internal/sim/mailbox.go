@@ -94,9 +94,6 @@ func NewMailbox(k *Kernel, name string) *Mailbox {
 	return &Mailbox{k: k, name: name, waiters: make([]*Proc, 0, 4)}
 }
 
-// Name returns the mailbox name.
-func (m *Mailbox) Name() string { return m.name }
-
 // Len returns the number of queued messages.
 func (m *Mailbox) Len() int { return m.queue.Len() }
 
@@ -164,21 +161,4 @@ func (m *Mailbox) Drain() int {
 	n := m.queue.Len()
 	m.queue = m.queue[:0]
 	return n
-}
-
-// TryRecv returns the highest-priority message if one is queued, without
-// blocking. The second result reports whether a message was returned.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if m.queue.Len() == 0 {
-		return nil, false
-	}
-	return heap.Pop(&m.queue).(*item).value, true
-}
-
-// Peek returns the highest-priority queued message without removing it.
-func (m *Mailbox) Peek() (any, bool) {
-	if m.queue.Len() == 0 {
-		return nil, false
-	}
-	return m.queue[0].value, true
 }

@@ -96,34 +96,6 @@ func TestMailboxRecvBlocksUntilSend(t *testing.T) {
 	}
 }
 
-func TestMailboxTryRecvAndPeek(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	if _, ok := m.TryRecv(); ok {
-		t.Error("TryRecv on empty mailbox returned ok")
-	}
-	if _, ok := m.Peek(); ok {
-		t.Error("Peek on empty mailbox returned ok")
-	}
-	m.Send("a", PriorityData)
-	m.Send("b", PriorityBarrier)
-	if v, ok := m.Peek(); !ok || v != "b" {
-		t.Errorf("Peek = %v, %v", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	if v, ok := m.TryRecv(); !ok || v != "b" {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-	if v, ok := m.TryRecv(); !ok || v != "a" {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-	if m.Name() != "mb" {
-		t.Errorf("Name = %q", m.Name())
-	}
-}
-
 func TestPriorityString(t *testing.T) {
 	tests := []struct {
 		p    Priority

@@ -17,7 +17,7 @@ const (
 
 // Proc is a simulated process: a goroutine whose execution is interleaved,
 // one at a time, by the kernel. Inside a process function, the blocking
-// primitives (Hold, Mailbox.Recv, Resource.Acquire, Condition.Wait) advance
+// primitives (Hold, Mailbox.Recv, Resource.Acquire) advance
 // simulated time; all other code runs instantaneously in simulation terms.
 type Proc struct {
 	k        *Kernel
@@ -162,40 +162,4 @@ func (p *Proc) HoldUntil(t Time) {
 	}
 	p.k.schedule(t, nil, p)
 	p.block()
-}
-
-// Condition is a waitable, broadcast-style flag keyed to arbitrary predicates:
-// processes wait on it and every Signal wakes all current waiters, who then
-// re-check whatever condition they care about. It is the building block for
-// barriers and for the dataflow engine's "wait until state changes" loops.
-type Condition struct {
-	k       *Kernel
-	waiters []*Proc
-}
-
-// NewCondition creates a condition variable on kernel k.
-func NewCondition(k *Kernel) *Condition { return &Condition{k: k} }
-
-// Wait blocks the calling process until the next Signal.
-func (c *Condition) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.block()
-}
-
-// WaitFor blocks the calling process until pred() is true, re-checking after
-// every Signal. If pred is already true it returns immediately.
-func (c *Condition) WaitFor(p *Proc, pred func() bool) {
-	for !pred() {
-		c.Wait(p)
-	}
-}
-
-// Signal wakes every process currently waiting on the condition. The wakes
-// are scheduled as zero-delay events, preserving deterministic ordering.
-func (c *Condition) Signal() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, p := range waiters {
-		c.k.schedule(c.k.now, nil, p)
-	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 )
@@ -25,9 +24,6 @@ func TestResourceSerializes(t *testing.T) {
 		if done[i] != want[i] {
 			t.Errorf("done[%d] = %v, want %v", i, done[i], want[i])
 		}
-	}
-	if r.Acquires() != 3 {
-		t.Errorf("Acquires = %d", r.Acquires())
 	}
 }
 
@@ -82,74 +78,6 @@ func TestResourceCapacityN(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	if r.InUse() != 1 {
-		t.Errorf("InUse = %d", r.InUse())
-	}
-	r.Release()
-	if r.InUse() != 0 {
-		t.Errorf("InUse after release = %d", r.InUse())
-	}
-}
-
-func TestResourceTryAcquireDoesNotBypassWaiters(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, PriorityData)
-		p.Hold(5 * time.Second)
-		r.Release()
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		p.Hold(time.Second)
-		r.Acquire(p, PriorityData)
-		p.Hold(5 * time.Second)
-		r.Release()
-	})
-	var bypassed bool
-	k.After(6*time.Second, func() {
-		// At t=6 the holder has released and the waiter holds the unit.
-		// But even at a moment when the unit has been released and handed
-		// to a waiter, TryAcquire must fail rather than steal it.
-		bypassed = r.TryAcquire()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if bypassed {
-		t.Error("TryAcquire stole the resource from a queued waiter")
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "disk", 1)
-	k.Spawn("u", func(p *Proc) {
-		r.Use(p, PriorityData, 30*time.Second)
-		p.Hold(70 * time.Second) // idle tail
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := r.Utilization(); math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("Utilization = %v, want 0.3", got)
-	}
-	if r.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d", r.QueueLen())
-	}
-	if r.Name() != "disk" {
-		t.Errorf("Name = %q", r.Name())
-	}
-}
-
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "nic", 1)
@@ -168,12 +96,4 @@ func TestResourceBadCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewResource(NewKernel(), "bad", 0)
-}
-
-func TestResourceUtilizationZeroTime(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "nic", 1)
-	if got := r.Utilization(); got != 0 {
-		t.Errorf("Utilization at t=0 = %v", got)
-	}
 }
