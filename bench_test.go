@@ -15,7 +15,6 @@ import (
 	"wadc/internal/metrics"
 	"wadc/internal/netmodel"
 	"wadc/internal/placement"
-	"wadc/internal/plan"
 	"wadc/internal/sim"
 	"wadc/internal/tenant"
 	"wadc/internal/trace"
@@ -163,20 +162,6 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkSimProcessSwitch measures the goroutine-process context-switch
-// cost (one Hold per iteration).
-func BenchmarkSimProcessSwitch(b *testing.B) {
-	k := sim.NewKernel()
-	k.Spawn("holder", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Hold(time.Millisecond)
-		}
-	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkTraceTransferDuration measures piecewise-constant bandwidth
 // integration over a two-day trace.
 func BenchmarkTraceTransferDuration(b *testing.B) {
@@ -191,26 +176,6 @@ func BenchmarkTraceTransferDuration(b *testing.B) {
 func BenchmarkTraceGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = trace.Generate("bench", int64(i), trace.DefaultGenParams(trace.KBps(40)))
-	}
-}
-
-// BenchmarkOneShotOptimize measures one pass of the §2.1 optimiser on an
-// 8-server tree with a 9-host candidate set.
-func BenchmarkOneShotOptimize(b *testing.B) {
-	tree := plan.CompleteBinary(8)
-	sh, ch := plan.DefaultHostAssignment(8)
-	initial := plan.NewPlacement(tree, sh, ch)
-	model := plan.DefaultCostModel(128 * 1024)
-	hosts := make([]netmodel.HostID, 9)
-	for i := range hosts {
-		hosts[i] = netmodel.HostID(i)
-	}
-	bw := func(a, c netmodel.HostID) trace.Bandwidth {
-		return trace.Bandwidth(10000 + 1000*int(a+c)%50000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = placement.OneShotOptimize(initial, hosts, model, bw)
 	}
 }
 

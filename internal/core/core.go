@@ -96,10 +96,6 @@ type RunConfig struct {
 	// and the run is byte-identical to one before fault injection existed.
 	// The client host is never crashed.
 	Faults faults.Config
-	// Tracer, when set, receives the kernel's event trace (used by
-	// determinism regression tests; identical seeds must produce identical
-	// traces).
-	Tracer sim.Tracer
 	// Telemetry, when set, receives every structured simulation event
 	// (kernel scheduling, transfers, demands, relocations, barriers, faults).
 	// Sinks are purely observational: a run with telemetry attached is
@@ -162,7 +158,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Monitor:        cfg.Monitor,
 		Faults:         cfg.Faults,
 		FlatPriorities: cfg.FlatPriorities,
-		Tracer:         cfg.Tracer,
 		Telemetry:      cfg.Telemetry,
 		CollectMetrics: cfg.CollectMetrics,
 		TrackEstimates: cfg.TrackEstimates,

@@ -3,30 +3,58 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"reflect"
 	"testing"
 	"time"
 
 	"wadc/internal/faults"
 	"wadc/internal/sim"
+	"wadc/internal/telemetry"
 )
 
-// traceDigest runs cfg with a kernel tracer attached and folds every trace
-// line into a hash, so two runs can be compared event-for-event without
-// holding both logs in memory.
+// kernelLog is a telemetry sink that formats the six kernel event kinds
+// into one text line each and writes them to w, ignoring model-level
+// events. Hashing its output compares two runs event-for-event without
+// holding either log in memory.
+type kernelLog struct {
+	w     io.Writer
+	lines int
+}
+
+func (l *kernelLog) Emit(ev telemetry.Event) {
+	at := sim.Time(ev.At)
+	switch ev.Kind {
+	case telemetry.KindProcHold:
+		fmt.Fprintf(l.w, "%v %s hold %v\n", at, ev.Name, time.Duration(ev.Dur))
+	case telemetry.KindProcKilled:
+		fmt.Fprintf(l.w, "%v kill %s\n", at, ev.Name)
+	case telemetry.KindMailboxSend:
+		fmt.Fprintf(l.w, "%v mailbox %s send prio=%v\n", at, ev.Name, sim.Priority(ev.Prio))
+	case telemetry.KindMailboxRecv:
+		fmt.Fprintf(l.w, "%v mailbox %s recv prio=%v\n", at, ev.Name, sim.Priority(ev.Prio))
+	case telemetry.KindResourceWait:
+		fmt.Fprintf(l.w, "%v resource %s wait %s prio=%v\n", at, ev.Name, ev.Aux, sim.Priority(ev.Prio))
+	case telemetry.KindResourceGrant:
+		fmt.Fprintf(l.w, "%v resource %s grant %s\n", at, ev.Name, ev.Aux)
+	default:
+		return
+	}
+	l.lines++
+}
+
+// traceDigest runs cfg with a kernelLog next to its telemetry sink and
+// returns the hash and line count of the kernel event log.
 func traceDigest(t *testing.T, cfg RunConfig) (RunResult, uint64, int) {
 	t.Helper()
 	h := fnv.New64a()
-	lines := 0
-	cfg.Tracer = func(at sim.Time, format string, args ...any) {
-		fmt.Fprintf(h, "%v %s\n", at, fmt.Sprintf(format, args...))
-		lines++
-	}
+	log := &kernelLog{w: h}
+	cfg.Telemetry = telemetry.Multi(cfg.Telemetry, log)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res, h.Sum64(), lines
+	return res, h.Sum64(), log.lines
 }
 
 // TestDeterministicReplay: the same seed and fault configuration must produce
@@ -61,7 +89,7 @@ func TestDeterministicReplay(t *testing.T) {
 				b, hashB, linesB := traceDigest(t, cfg)
 
 				if linesA == 0 {
-					t.Fatal("tracer captured no events")
+					t.Fatal("kernel log captured no events")
 				}
 				if hashA != hashB || linesA != linesB {
 					t.Errorf("event logs diverge: %d lines/%#x vs %d lines/%#x",

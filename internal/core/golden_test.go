@@ -114,10 +114,10 @@ func TestGoldenEventLogs(t *testing.T) {
 func goldenMultiDigest(t *testing.T) string {
 	t.Helper()
 	h := fnv.New64a()
-	lines := 0
+	log := &kernelLog{w: h}
 	rec := telemetry.NewRecorder()
 	cfg := MultiConfig{
-		Telemetry:      telemetry.ModelOnly(rec),
+		Telemetry:      telemetry.Multi(telemetry.ModelOnly(rec), log),
 		TrackEstimates: true,
 		Seed:           31, NumServers: 6,
 		Links: goldenLinks(31),
@@ -126,10 +126,6 @@ func goldenMultiDigest(t *testing.T) string {
 		}),
 		Workload: smallWorkload(4),
 		Period:   2 * time.Minute,
-		Tracer: func(at sim.Time, format string, args ...any) {
-			fmt.Fprintf(h, "%v %s\n", at, fmt.Sprintf(format, args...))
-			lines++
-		},
 	}
 	res, err := RunMulti(cfg)
 	if err != nil {
@@ -138,7 +134,7 @@ func goldenMultiDigest(t *testing.T) string {
 	if err := telemetry.WriteJSONL(h, rec.Events()); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	fmt.Fprintf(h, "%d %d %d", lines, res.Completed, res.Aborted)
+	fmt.Fprintf(h, "%d %d %d", log.lines, res.Completed, res.Aborted)
 	for _, tr := range res.Tenants {
 		fmt.Fprintf(h, " %d %t %t %v %v %d %v %d %d %v", tr.Spec.ID, tr.Completed, tr.Aborted,
 			tr.ArrivedAt, tr.DepartedAt, tr.Delivered, tr.Result.Arrivals,

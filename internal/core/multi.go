@@ -49,9 +49,8 @@ type MultiConfig struct {
 	Faults faults.Config
 	// FlatPriorities disables message-priority queueing network-wide.
 	FlatPriorities bool
-	// Tracer and Telemetry observe the shared kernel; every event carries
-	// the tenant tag of the process that emitted it.
-	Tracer    sim.Tracer
+	// Telemetry observes the shared kernel; every event carries the tenant
+	// tag of the process that emitted it.
 	Telemetry telemetry.Sink
 	// CollectMetrics snapshots the shared metric registry into the result.
 	CollectMetrics bool

@@ -65,9 +65,6 @@ func newWorld(cfg MultiConfig) (_ *world, err error) {
 	if cfg.Perf != nil {
 		kOpts = append(kOpts, sim.WithObserver(cfg.Perf))
 	}
-	if cfg.Tracer != nil {
-		kOpts = append(kOpts, sim.WithTracer(cfg.Tracer))
-	}
 	if cfg.CollectMetrics {
 		w.collector = telemetry.NewCollector()
 		kOpts = append(kOpts, sim.WithTelemetry(w.collector))

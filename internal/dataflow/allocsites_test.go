@@ -15,9 +15,10 @@ import (
 // represented, and the per-op arithmetic uses the pipeline count as the
 // denominator so the numbers line up with the benchmark's allocs/op column.
 //
-// When ALLOCSITES_DIR is set (scripts/bench.sh does this) the report is also
-// written as ALLOCSITES_DIR/dataflow_pipeline.json for `simscope allocs` and
-// the CI artifact upload; without it the test is purely an assertion.
+// When ALLOCSITES_DIR is set (the CI profile job does this) the report is
+// also written as ALLOCSITES_DIR/dataflow_pipeline.json for `simscope
+// allocs` and the CI artifact upload; without it the test is purely an
+// assertion.
 func TestAllocSiteCapture(t *testing.T) {
 	const runs = 10
 	cap := obs.StartAllocCapture()

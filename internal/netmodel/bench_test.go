@@ -12,27 +12,32 @@ type nullSink struct{}
 
 func (nullSink) Emit(telemetry.Event) {}
 
-// benchTransfers pushes b.N back-to-back 16 KB messages through a constant
-// 1 MB/s link: NIC acquisition, bandwidth integration, delivery, and
-// accounting are all on this path.
-func benchTransfers(b *testing.B, opts ...sim.Option) {
-	b.ReportAllocs()
+// transferRig builds a kernel that pushes n back-to-back 16 KB messages
+// through a constant 1 MB/s link: NIC acquisition, bandwidth integration,
+// delivery, and accounting are all on this path.
+func transferRig(n int, opts ...sim.Option) *sim.Kernel {
 	k := sim.NewKernel(opts...)
-	n := NewNetwork(k)
-	src := n.AddHost("src")
-	dst := n.AddHost("dst")
-	n.SetLink(src.ID(), dst.ID(), trace.Constant("link", 1024*1024))
+	net := NewNetwork(k)
+	src := net.AddHost("src")
+	dst := net.AddHost("dst")
+	net.SetLink(src.ID(), dst.ID(), trace.Constant("link", 1024*1024))
 	k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			n.Send(p, &Message{Src: src.ID(), Dst: dst.ID(), Port: "data", Size: 16 * 1024, Prio: sim.PriorityData})
+		for i := 0; i < n; i++ {
+			net.Send(p, &Message{Src: src.ID(), Dst: dst.ID(), Port: "data", Size: 16 * 1024, Prio: sim.PriorityData})
 		}
 	})
 	k.Spawn("recv", func(p *sim.Proc) {
 		port := dst.Port("data")
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			port.Recv(p)
 		}
 	})
+	return k
+}
+
+func benchTransfers(b *testing.B, opts ...sim.Option) {
+	b.ReportAllocs()
+	k := transferRig(b.N, opts...)
 	// 16 KB per op: the testing package derives MB/s from this.
 	b.SetBytes(16 * 1024)
 	b.ResetTimer()

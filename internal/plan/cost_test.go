@@ -379,21 +379,3 @@ func TestScoreMatchesEvaluate(t *testing.T) {
 		}
 	}
 }
-
-// TestScoreZeroAlloc: scoring a placement and finding its critical path
-// allocate nothing.
-func TestScoreZeroAlloc(t *testing.T) {
-	tr := CompleteBinary(32)
-	sh, ch := DefaultHostAssignment(32)
-	p := NewPlacement(tr, sh, ch)
-	for i, op := range tr.Operators() {
-		p.SetLoc(op, netmodel.HostID(i%33))
-	}
-	sc := DefaultCostModel(128*1024).NewScorer(p, nil, uniformBW(1000))
-	if allocs := testing.AllocsPerRun(100, func() { sc.Score(p) }); allocs != 0 {
-		t.Fatalf("Score allocated %.1f times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sc.CriticalPath(p) }); allocs != 0 {
-		t.Fatalf("CriticalPath allocated %.1f times per run, want 0", allocs)
-	}
-}

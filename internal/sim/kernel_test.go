@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wadc/internal/telemetry"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -272,11 +274,9 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestDeterministicTrace(t *testing.T) {
-	run := func() string {
-		var sb strings.Builder
-		k := NewKernel(WithSeed(42), WithTracer(func(at Time, format string, args ...any) {
-			fmt.Fprintf(&sb, "%v "+format+"\n", append([]any{at}, args...)...)
-		}))
+	run := func() *telemetry.Recorder {
+		rec := telemetry.NewRecorder()
+		k := NewKernel(WithSeed(42), WithTelemetry(rec))
 		m := NewMailbox(k, "mb")
 		res := NewResource(k, "res", 1)
 		for i := 0; i < 4; i++ {
@@ -297,10 +297,15 @@ func TestDeterministicTrace(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return sb.String()
+		return rec
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("same seed produced different traces:\n%s\n---\n%s", a, b)
+	a, b := run(), run()
+	if a.Len() == 0 {
+		t.Fatal("kernel emitted no events")
+	}
+	if a.Len() != b.Len() || a.Hash() != b.Hash() {
+		t.Errorf("same seed produced different event logs: %d events/%#x vs %d/%#x",
+			a.Len(), a.Hash(), b.Len(), b.Hash())
 	}
 }
 
